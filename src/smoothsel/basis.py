@@ -100,33 +100,30 @@ def _check_unit(u: np.ndarray) -> np.ndarray:
 def _bernstein_rows(u: np.ndarray, order: int) -> np.ndarray:
     # Degree elevation: row at order m comes from order m - 1 by
     # b_k^m = (1 - u) b_k^{m-1} + u b_{k-1}^{m-1}.  No factorials, so the
-    # evaluation stays exact-in-spirit well past order 20.
-    n = u.shape[0]
-    rows = np.zeros((n, order + 1))
-    rows[:, 0] = 1.0
+    # evaluation stays exact-in-spirit well past order 20.  Basis functions
+    # are rows of the buffer, so each update touches contiguous memory;
+    # updating from the top down reads every b^{m-1} before it is replaced.
+    rows = np.zeros((order + 1, u.shape[0]))
+    rows[0] = 1.0
     one_minus = 1.0 - u
     for m in range(1, order + 1):
-        prev = rows[:, :m].copy()
-        rows[:, : m + 1] = 0.0
-        rows[:, :m] += one_minus[:, None] * prev
-        rows[:, 1 : m + 1] += u[:, None] * prev
-    return rows
+        rows[m] = u * rows[m - 1]
+        rows[1:m] = one_minus * rows[1:m] + u * rows[: m - 1]
+        rows[0] *= one_minus
+    return rows.T
 
 
 def _legendre_rows(u: np.ndarray, order: int) -> np.ndarray:
     # Shifted Legendre three-term recurrence on [0, 1]:
     # (k + 1) psi_{k+1} = (2k + 1)(2u - 1) psi_k - k psi_{k-1}.
-    n = u.shape[0]
-    rows = np.zeros((n, order + 1))
-    rows[:, 0] = 1.0
+    rows = np.zeros((order + 1, u.shape[0]))
+    rows[0] = 1.0
     if order >= 1:
         t = 2.0 * u - 1.0
-        rows[:, 1] = t
+        rows[1] = t
         for k in range(1, order):
-            rows[:, k + 1] = ((2 * k + 1) * t * rows[:, k] - k * rows[:, k - 1]) / (
-                k + 1
-            )
-    return rows
+            rows[k + 1] = ((2 * k + 1) * t * rows[k] - k * rows[k - 1]) / (k + 1)
+    return rows.T
 
 
 def bernstein_row(u: float, order: int) -> np.ndarray:

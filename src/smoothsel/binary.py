@@ -611,7 +611,6 @@ def fit_binary(
         rule="mpm",
         omega_prior=None,
         timing_seconds=elapsed,
-        coef_path="refit",
         link="probit",
         diagnostics={
             "log_bf": log_bf,

@@ -3,7 +3,9 @@
 The inverse scale omega = 1/g carries one of three objective mixing
 distributions: an arcsine (Beta(1/2, 1/2)) law on (0, 1), a Gamma law on
 (0, inf), or a Gamma law whose rate is itself Gamma distributed (the last
-marginalizes in closed form to a scaled beta-prime density).  Each Bayes
+marginalizes in closed form to a scaled beta-prime density).  One QR
+factorization of the centered design, with the scaled response appended
+as a last column, gives the r2 of every nested order.  Each Bayes
 factor against the intercept-only base model is a one-dimensional integral
 evaluated in log space by adaptive Gauss-Legendre panel refinement on a
 transformed variable that absorbs the prior's endpoint singularities.
@@ -17,8 +19,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 from scipy.special import logsumexp
 
 from .basis import LEGENDRE, DesignMatrix
@@ -215,11 +219,59 @@ class ModelFitStats:
         return self.r2 >= 1.0 - _SATURATION_TOL
 
 
-def _centered_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xc = x - x.mean(axis=0, keepdims=True)
-    q, r = np.linalg.qr(xc)
-    diag = np.abs(np.diag(r))
-    col_norm = np.sqrt((xc**2).sum(axis=0))
+class _Factorization(NamedTuple):
+    """One QR of the centered design with the scaled response appended.
+
+    R is prefix-nested: its leading k x k block and z[:k] are the
+    triangular factor and the projected response of the order-k model, so
+    one factorization serves every nested r2 and coefficient vector.
+    """
+
+    ybar: float
+    col_means: np.ndarray  # (N,) means of the degree-1..N columns
+    r: np.ndarray  # (N, N) upper triangular factor of the centered columns
+    z: np.ndarray  # (N,) projections of (y - ybar) / scale
+    ssy: float  # ||(y - ybar) / scale||^2
+    scale: float  # max |y - ybar|, or 1 for a constant response
+
+    def r2(self) -> np.ndarray:
+        """(N + 1,) coefficient of determination of orders 0..N."""
+        r2 = np.zeros(self.z.size + 1)
+        if self.ssy > 0.0:
+            r2[1:] = np.minimum(np.cumsum(self.z**2) / self.ssy, 1.0)
+        return r2
+
+    def coefficients(self, k: int) -> np.ndarray:
+        """Least-squares coefficients of degrees 1..k of the order-k model."""
+        return solve_triangular(self.r[:k, :k], self.z[:k]) * self.scale
+
+
+def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
+    """QR of [x_c | y_c / s] for the degree-1..N columns ``x``.
+
+    Dividing the centered response by s = max |y_c| keeps ssy and the
+    projections representable at any response scale; r2 is scale-free and
+    the coefficients are scaled back.  Only R is formed, never Q.
+    """
+    n, n_cols = x.shape
+    ybar = float(y.mean())
+    yc = y - ybar
+    scale = float(np.max(np.abs(yc)))
+    if scale == 0.0:
+        scale = 1.0
+    col_means = x.mean(axis=0)
+    aug = np.empty((n, n_cols + 1), order="F")
+    xc = aug[:, :n_cols]
+    np.subtract(x, col_means, out=xc)
+    col_norm = np.sqrt(np.einsum("ij,ij->j", xc, xc))
+    np.divide(yc, scale, out=aug[:, n_cols])
+    ssy = float(aug[:, n_cols] @ aug[:, n_cols])
+    # "raw" leaves Householder vectors in ``aug`` and triangularizes only the
+    # leading block; "r" would run triu over the whole n-row buffer.
+    r = qr(aug, mode="raw", overwrite_a=True, check_finite=False)[1]
+    # With fewer rows than columns R is short; the missing pivots are zero.
+    diag = np.zeros(n_cols)
+    diag[: r.shape[0]] = np.abs(np.diag(r))[:n_cols]
     bad = np.nonzero(diag <= 1e-12 * np.maximum(col_norm, 1.0))[0]
     if bad.size:
         # Column j of the reduced design is degree j + 1.
@@ -227,7 +279,14 @@ def _centered_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"rank-deficient design: degree-{bad[0] + 1} column is numerically "
             f"collinear with the lower-degree columns"
         )
-    return q, r
+    return _Factorization(
+        ybar=ybar,
+        col_means=col_means,
+        r=r[:n_cols, :n_cols],
+        z=r[:n_cols, n_cols],
+        ssy=ssy,
+        scale=scale,
+    )
 
 
 def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
@@ -259,14 +318,8 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
     if n <= k + 2:
         raise ValueError(f"need n > k + 2 observations, got n={n}, k={k}")
-    q, _ = _centered_qr(design.values[:, 1 : k + 1])
-    yc = y - y.mean()
-    ssy = float(yc @ yc)
-    if ssy == 0.0:
-        return ModelFitStats(n=n, q0=1, qk=k + 1, r2=0.0)
-    z = q.T @ yc
-    r2 = float(min(max(float(z @ z) / ssy, 0.0), 1.0))
-    return ModelFitStats(n=n, q0=1, qk=k + 1, r2=r2)
+    r2 = _factorize(y, design.values[:, 1 : k + 1]).r2()[k]
+    return ModelFitStats(n=n, q0=1, qk=k + 1, r2=float(r2))
 
 
 # ============================================================
@@ -521,21 +574,20 @@ def model_posterior(
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
-    n_max = design.order
+    r2 = _factorize(y, design.values[:, 1:]).r2()
+    return _posterior_from_r2(n, r2, prior, omega_prior, rel_tol)
+
+
+def _posterior_from_r2(
+    n: int,
+    r2: np.ndarray,
+    prior: ModelPrior,
+    omega_prior: OmegaPrior,
+    rel_tol: float,
+) -> ModelPosterior:
+    """Posterior over orders 0..N from the nested r2 of a size-n sample."""
+    n_max = r2.size - 1
     q0 = 1
-
-    # One QR of the full centered design gives every nested r2 at once:
-    # the squared projections onto successive orthogonalized columns
-    # accumulate into the numerator of each prefix model.
-    r2 = np.zeros(n_max + 1)
-    if n_max >= 1:
-        q, _ = _centered_qr(design.values[:, 1:])
-        yc = y - y.mean()
-        ssy = float(yc @ yc)
-        if ssy > 0.0:
-            z = q.T @ yc
-            r2[1:] = np.minimum(np.cumsum(z**2) / ssy, 1.0)
-
     ks = np.arange(n_max + 1)
     qk = ks + 1
     keep = qk < n - q0

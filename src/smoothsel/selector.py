@@ -4,9 +4,10 @@ The posterior over nested orders feeds one of two selection rules: the
 median probability model (largest degree whose marginal inclusion
 probability exceeds one half, the default) or the minimizer of a
 predictive squared-error loss whose model term weighs inclusion
-probabilities against per-model shrinkage.  The selected order is refitted
-and reported as Bernstein ordinates, either by direct least squares on the
-Bernstein design (default) or by pushing the Legendre estimate through the
+probabilities against per-model shrinkage.  One QR factorization of the
+centered Legendre design gives every nested r2, the full-model and the
+selected-order coefficients; the Legendre coefficients are the fitted
+model, and the reported Bernstein ordinates are their image under the
 exact basis-change matrix.
 """
 
@@ -14,34 +15,18 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .basis import (
-    BERNSTEIN,
-    LEGENDRE,
-    DesignMatrix,
-    PredictorScale,
-    build_design,
-    max_order,
-)
-from .gprior import ModelPosterior, OmegaPrior, model_posterior
+from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design, max_order
+from .gprior import ModelPosterior, OmegaPrior, _factorize, _posterior_from_r2
 from .model_space import model_prior
 from .transform import build_transform, legendre_to_bernstein
 
 RULE_MPM = "mpm"
 RULE_LOSS = "loss"
-
-PATH_REFIT = "refit"
-PATH_TRANSFORM = "transform"
-
-DJ_TRAINING = "training"
-DJ_GRID = "grid"
-
-_DJ_GRID_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -60,12 +45,6 @@ class FitConfig:
     cap : int
         Upper bound on the maximum order; the working bound is
         min(floor(n^(2/3)), cap, n - 3).
-    coef_path : str
-        ``"refit"`` (Bernstein least squares at the selected order) or
-        ``"transform"`` (Legendre estimate through the basis change).
-    dj_mode : str
-        ``"training"`` takes d_j from the training Gram diagonal,
-        ``"grid"`` from a 1000-point uniform grid expectation.
     rel_tol : float
         Relative tolerance of the Bayes factor quadrature.
     scale : PredictorScale, optional
@@ -77,18 +56,12 @@ class FitConfig:
     prior_b: float = 1.0
     rule: str = RULE_MPM
     cap: int = 60
-    coef_path: str = PATH_REFIT
-    dj_mode: str = DJ_TRAINING
     rel_tol: float = 1e-8
     scale: Optional[PredictorScale] = None
 
     def __post_init__(self) -> None:
         if self.rule not in (RULE_MPM, RULE_LOSS):
             raise ValueError(f"unknown selection rule: {self.rule!r}")
-        if self.coef_path not in (PATH_REFIT, PATH_TRANSFORM):
-            raise ValueError(f"unknown coefficient path: {self.coef_path!r}")
-        if self.dj_mode not in (DJ_TRAINING, DJ_GRID):
-            raise ValueError(f"unknown d_j mode: {self.dj_mode!r}")
 
 
 @dataclass
@@ -112,7 +85,6 @@ class FitResult:
     rule: str
     omega_prior: Optional[OmegaPrior]
     timing_seconds: float
-    coef_path: str
     link: str = "identity"
     diagnostics: dict = field(default_factory=dict)
 
@@ -149,7 +121,6 @@ class FitResult:
             "rule": self.rule,
             "omega_prior": prior,
             "max_order": int(self.max_order),
-            "coef_path": self.coef_path,
             "link": self.link,
             "scale": {"a": self.scale.a, "b": self.scale.b},
         }
@@ -266,42 +237,36 @@ def loss_equivalence_diagnostic(
     the shrunken inclusion curve collapses onto the plain one), which is
     why minimizing either loss selects the same order asymptotically.
     """
-    gaps = []
-    for k in range(mp.max_order + 1):
-        if k in mp.excluded:
-            continue
-        gaps.append(
-            abs(
-                predictive_loss(mp, k, dj, lambda_full, shrunken=True)
-                - predictive_loss(mp, k, dj, lambda_full, shrunken=False)
-            )
-        )
-    return float(max(gaps))
+    gaps = np.abs(
+        _losses(mp, dj, lambda_full, shrunken=True)
+        - _losses(mp, dj, lambda_full, shrunken=False)
+    )
+    return float(np.nanmax(gaps))
 
 
-def _legendre_ls(design: DesignMatrix, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Least squares of y on the centered degree-1..N columns.
+def _losses(
+    mp: ModelPosterior, dj: np.ndarray, lambda_full: np.ndarray, shrunken: bool
+) -> np.ndarray:
+    """:func:`predictive_loss` at every order in one broadcast; NaN where excluded.
 
-    Returns (ybar, coefficients for degrees 1..N, column means).
+    Row k repeats the reference's arithmetic term by term, so the values
+    are identical to calling it order by order.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    x = design.values[:, 1:]
-    col_means = x.mean(axis=0)
-    xc = x - col_means
-    yc = y - y.mean()
-    if xc.shape[1] == 0:
-        return float(y.mean()), np.zeros(0), col_means
-    coef, *_ = np.linalg.lstsq(xc, yc, rcond=None)
-    return float(y.mean()), coef, col_means
-
-
-def _dj_vector(design: DesignMatrix, mode: str) -> np.ndarray:
-    if mode == DJ_TRAINING:
-        return (design.values[:, 1:] ** 2).sum(axis=0)
-    grid = np.linspace(0.0, 1.0, _DJ_GRID_SIZE)
-    unit = PredictorScale(0.0, 1.0)
-    gd = build_design(grid, unit, design.order, LEGENDRE)
-    return design.n * (gd.values[:, 1:] ** 2).mean(axis=0)
+    n_max = mp.max_order
+    dj = np.asarray(dj, dtype=float)
+    lambda_full = np.asarray(lambda_full, dtype=float)
+    if dj.shape != (n_max,) or lambda_full.shape != (n_max,):
+        raise ValueError("dj and lambda_full must have length max_order")
+    ks = np.arange(n_max + 1)
+    gamma = (ks[None, 1:] <= ks[:, None]).astype(float)
+    if shrunken:
+        probs, xi = mp.shrunken_inclusion, mp.shrinkage
+    else:
+        probs, xi = mp.inclusion, np.ones(n_max + 1)
+    weights = (lambda_full * dj) ** 2
+    losses = np.sum(weights * (probs[None, :] - xi[:, None] * gamma) ** 2, axis=1)
+    losses[list(mp.excluded)] = np.nan
+    return losses
 
 
 def fit(
@@ -343,42 +308,23 @@ def fit(
 
     design = build_design(x, scale, n_max, LEGENDRE)
     prior = model_prior(n_max, config.prior_a, config.prior_b)
-    mp = model_posterior(y, design, prior, config.omega_prior, rel_tol=config.rel_tol)
+    columns = design.values[:, 1:]
+    factor = _factorize(y, columns)
+    mp = _posterior_from_r2(n, factor.r2(), prior, config.omega_prior, config.rel_tol)
 
-    ybar, lambda_full, col_means = _legendre_ls(design, y)
-    dj = _dj_vector(design, config.dj_mode)
-
-    losses = np.full(n_max + 1, np.nan)
-    for k in range(n_max + 1):
-        if k not in mp.excluded:
-            losses[k] = predictive_loss(mp, k, dj, lambda_full, shrunken=True)
+    lambda_full = factor.coefficients(n_max)
+    dj = np.einsum("ij,ij->j", columns, columns)
+    losses = _losses(mp, dj, lambda_full, shrunken=True)
     if config.rule == RULE_MPM:
         selected = median_probability_order(mp)
     else:
         selected = int(np.nanargmin(losses))
 
-    xi_sel = float(mp.shrinkage[selected])
-
-    # Legendre refit at the selected order, shrunken away from the level.
-    lam_k = lambda_full if selected == n_max else None
-    if lam_k is None:
-        sub = DesignMatrix(
-            basis=LEGENDRE, order=selected, values=design.values[:, : selected + 1]
-        )
-        _, lam_k, cm_k = _legendre_ls(sub, y)
-    else:
-        cm_k = col_means
-    lam_shrunk = xi_sel * lam_k
-    lam0 = ybar - float(lam_shrunk @ cm_k[: selected]) if selected else ybar
+    # Selected-order coefficients, shrunken away from the level.
+    lam_shrunk = float(mp.shrinkage[selected]) * factor.coefficients(selected)
+    lam0 = factor.ybar - float(lam_shrunk @ factor.col_means[:selected])
     lambda_hat = np.concatenate(([lam0], lam_shrunk))
-
-    if config.coef_path == PATH_REFIT:
-        bern = build_design(x, scale, selected, BERNSTEIN)
-        eta_raw, *_ = np.linalg.lstsq(bern.values, y, rcond=None)
-        eta_hat = ybar + xi_sel * (eta_raw - ybar)
-    else:
-        pair = build_transform(selected)
-        eta_hat = legendre_to_bernstein(lambda_hat, pair)
+    eta_hat = legendre_to_bernstein(lambda_hat, build_transform(selected))
     elapsed = time.perf_counter() - start
 
     diagnostics = {
@@ -390,8 +336,8 @@ def fit(
         "loss_equivalence": loss_equivalence_diagnostic(mp, dj / n, lambda_full),
         "excluded": list(mp.excluded),
         "lambda_full": lambda_full,
-        "col_means": col_means,
-        "ybar": ybar,
+        "col_means": factor.col_means,
+        "ybar": factor.ybar,
     }
     return FitResult(
         selected_order=selected,
@@ -404,7 +350,6 @@ def fit(
         rule=config.rule,
         omega_prior=config.omega_prior,
         timing_seconds=elapsed,
-        coef_path=config.coef_path,
         link="identity",
         diagnostics=diagnostics,
     )

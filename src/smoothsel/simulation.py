@@ -20,10 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .basis import BERNSTEIN, PredictorScale, build_design
+from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
 from .selector import FitConfig, FitResult, fit
-from .transform import build_transform, legendre_to_bernstein
 
 POLY5 = "poly5"
 PWLINEAR = "pwlinear"
@@ -210,7 +209,11 @@ def sup_norm(
 
 
 def full_order_curve(result: FitResult, grid: np.ndarray) -> np.ndarray:
-    """Shrunken curve of the largest admissible order, for overfit checks."""
+    """Shrunken curve of the largest admissible order, for overfit checks.
+
+    Evaluated in the Legendre basis: at order 60 the Bernstein transform's
+    condition number is about 1e17, which would bury the curve in rounding.
+    """
     diag = result.diagnostics
     lam_full = np.asarray(diag["lambda_full"], dtype=float)
     col_means = np.asarray(diag["col_means"], dtype=float)
@@ -221,9 +224,7 @@ def full_order_curve(result: FitResult, grid: np.ndarray) -> np.ndarray:
     lam_shrunk = xi * lam_full[:k_full]
     lam0 = ybar - float(lam_shrunk @ col_means[:k_full]) if k_full else ybar
     lam = np.concatenate(([lam0], lam_shrunk))
-    eta = legendre_to_bernstein(lam, build_transform(k_full))
-    bern = build_design(grid, result.scale, k_full, BERNSTEIN)
-    return bern.values @ eta
+    return build_design(grid, result.scale, k_full, LEGENDRE).values @ lam
 
 
 def _ls_curve(

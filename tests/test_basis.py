@@ -135,6 +135,45 @@ class TestBuildDesign:
                 np.testing.assert_allclose(design.values[i], row_fn(ui, 6), atol=1e-14)
 
 
+def bernstein_columns(u, order):
+    """Reference: degree elevation one column at a time."""
+    rows = np.zeros((u.size, order + 1))
+    rows[:, 0] = 1.0
+    for m in range(1, order + 1):
+        prev = rows[:, :m].copy()
+        rows[:, : m + 1] = 0.0
+        rows[:, :m] += (1.0 - u)[:, None] * prev
+        rows[:, 1 : m + 1] += u[:, None] * prev
+    return rows
+
+
+def legendre_columns(u, order):
+    """Reference: the three-term recurrence one column at a time."""
+    rows = np.zeros((u.size, order + 1))
+    rows[:, 0] = 1.0
+    if order >= 1:
+        t = 2.0 * u - 1.0
+        rows[:, 1] = t
+        for k in range(1, order):
+            rows[:, k + 1] = ((2 * k + 1) * t * rows[:, k] - k * rows[:, k - 1]) / (
+                k + 1
+            )
+    return rows
+
+
+class TestRecurrencesMatchColumnLoop:
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 60])
+    def test_bit_identical(self, order):
+        rng = np.random.default_rng(order)
+        u = np.concatenate(([0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 300)))
+        np.testing.assert_array_equal(
+            build_design(u, UNIT, order, BERNSTEIN).values, bernstein_columns(u, order)
+        )
+        np.testing.assert_array_equal(
+            build_design(u, UNIT, order, LEGENDRE).values, legendre_columns(u, order)
+        )
+
+
 class TestDesignMatrixType:
     def test_field_validation(self):
         with pytest.raises(ValueError):

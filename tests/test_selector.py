@@ -1,6 +1,7 @@
 """Median probability model, averaged predictor, loss rule and fit()."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import ModelPosterior
 from smoothsel.selector import (
     FitConfig,
+    _losses,
     fit,
     bma_predictor,
     loss_equivalence_diagnostic,
@@ -161,6 +163,57 @@ class TestPredictiveLoss:
             predictive_loss(mp, 1, np.ones(3), lam)
 
 
+def loop_losses(mp, dj, lam, shrunken):
+    """Reference: predictive_loss order by order, NaN at excluded orders."""
+    return np.array(
+        [
+            np.nan if k in mp.excluded else predictive_loss(mp, k, dj, lam, shrunken)
+            for k in range(mp.max_order + 1)
+        ]
+    )
+
+
+def loop_loss_equivalence(mp, dj, lam):
+    """Reference: the sup of |shrunken - plain| over included orders."""
+    return max(
+        abs(
+            predictive_loss(mp, k, dj, lam, shrunken=True)
+            - predictive_loss(mp, k, dj, lam, shrunken=False)
+        )
+        for k in range(mp.max_order + 1)
+        if k not in mp.excluded
+    )
+
+
+class TestLossBroadcast:
+    @pytest.mark.parametrize("excluded", [(), (5,), (4, 5)])
+    def test_identical_to_the_reference_loop(self, excluded):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            xi = rng.uniform(0.2, 1.0, 6)
+            xi[list(excluded)] = np.nan
+            post = rng.dirichlet(np.ones(6))
+            post[list(excluded)] = 0.0
+            mp = make_mp(post, shrinkage=np.nan_to_num(xi), excluded=excluded)
+            mp = replace(mp, shrinkage=xi)
+            dj = rng.uniform(0.5, 3.0, 5)
+            lam = rng.normal(0.0, 2.0, 5)
+            for shrunken in (True, False):
+                np.testing.assert_array_equal(
+                    _losses(mp, dj, lam, shrunken), loop_losses(mp, dj, lam, shrunken)
+                )
+            assert loss_equivalence_diagnostic(mp, dj, lam) == loop_loss_equivalence(
+                mp, dj, lam
+            )
+
+    def test_validation(self):
+        mp = make_mp([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError):
+            _losses(mp, np.ones(3), np.ones(2), shrunken=True)
+        with pytest.raises(ValueError):
+            loss_equivalence_diagnostic(mp, np.ones(2), np.ones(1))
+
+
 class TestLossEquivalenceDiagnostic:
     def test_unit_shrinkage_collapses_to_zero(self):
         mp = make_mp([0.2, 0.5, 0.3])
@@ -195,22 +248,13 @@ class TestFit:
         grid = np.linspace(x.min(), x.max(), 11)
         np.testing.assert_allclose(result.predict(grid), 2.5, atol=1e-6)
 
-    def test_coefficient_paths_agree(self):
-        x, y = self.smooth_data()
-        refit = fit(x, y)
-        transform = fit(x, y, FitConfig(coef_path="transform"))
-        assert refit.selected_order == transform.selected_order
-        assert refit.selected_order <= 10
-        grid = np.linspace(x.min(), x.max(), 801)
-        gap = np.max(np.abs(refit.predict(grid) - transform.predict(grid)))
-        assert gap < 5e-3
-
     def test_transform_path_bases_agree(self):
         # The Legendre coefficients and the transformed Bernstein
         # ordinates describe one curve; the allowed drift is the
         # round-trip conditioning of the coefficient map.
         x, y = self.smooth_data()
-        result = fit(x, y, FitConfig(coef_path="transform"))
+        result = fit(x, y)
+        assert result.selected_order <= 10
         grid = np.linspace(x.min(), x.max(), 801)
         leg = build_design(grid, result.scale, result.selected_order, "legendre")
         legendre_curve = leg.values @ result.lambda_hat
@@ -219,9 +263,48 @@ class TestFit:
         gap = np.max(np.abs(legendre_curve - bernstein_curve))
         assert gap <= 1e-6 * cond
 
+    def test_losses_identical_to_the_reference_loop(self):
+        x, y = self.smooth_data(n=300, seed=8)
+        result = fit(x, y, FitConfig(rule="loss"))
+        diag = result.diagnostics
+        mp = ModelPosterior(
+            max_order=result.max_order,
+            n=x.size,
+            log_bf=diag["log_bf"],
+            posterior=result.posterior,
+            inclusion=diag["inclusion"],
+            shrinkage=result.shrinkage,
+            shrunken_inclusion=diag["shrunken_inclusion"],
+            r2=diag["r2"],
+            excluded=tuple(diag["excluded"]),
+        )
+        columns = build_design(x, result.scale, result.max_order, "legendre").values[:, 1:]
+        dj = np.einsum("ij,ij->j", columns, columns)
+        lam = diag["lambda_full"]
+        np.testing.assert_array_equal(diag["loss"], loop_losses(mp, dj, lam, True))
+        assert diag["loss_equivalence"] == loop_loss_equivalence(mp, dj / x.size, lam)
+        assert result.selected_order == int(np.nanargmin(diag["loss"]))
+
+    @pytest.mark.parametrize("n", [60, 500])
+    def test_coefficients_match_least_squares_oracle(self, n):
+        x, y = self.smooth_data(n=n, seed=n)
+        result = fit(x, y)
+        k = result.selected_order
+        design = build_design(x, result.scale, result.max_order, "legendre").values
+        xc = design[:, 1:] - design[:, 1:].mean(axis=0)
+        yc = y - y.mean()
+        full, *_ = np.linalg.lstsq(xc, yc, rcond=None)
+        sub, *_ = np.linalg.lstsq(xc[:, :k], yc, rcond=None)
+        got_full = result.diagnostics["lambda_full"]
+        got_sub = result.lambda_hat[1:] / result.shrinkage[k]
+        assert np.linalg.norm(got_full - full) <= 1e-12 * np.linalg.norm(full)
+        assert np.linalg.norm(got_sub - sub) <= 1e-12 * np.linalg.norm(sub)
+
     def test_selected_order_invariant_to_response_scaling(self):
         x, y = self.smooth_data()
-        assert fit(x, y).selected_order == fit(x, 10.0 * y).selected_order
+        order = fit(x, y).selected_order
+        for factor in (10.0, 1e-200, 1e200):
+            assert fit(x, factor * y).selected_order == order, factor
 
     def test_loss_rule_agrees_on_strong_signal(self):
         x, y = self.smooth_data()

@@ -16,35 +16,42 @@ given the factors, so their orthant masses multiply analytically into the
 weight instead of being sampled one at a time.  Antithetic pairs halve the
 variance and every (order, outer-node) pair draws from its own pre-split
 seed stream, so estimates are identical under any execution order.
+
+One damped-Newton helper finds every mode on this path: it maximizes
+sum_i log Phi(s_i (c + (A theta)_i)) - theta' P theta / 2 and reports its
+iterations and convergence.  The base level has A = 1, P = 0; the joint
+level and factor mode A = [1 | F], P = diag(0, I); the factor mode at a
+fixed level A = F, c = lambda_0, P = I.  The probit refit of the selected
+order runs on the Legendre design the selection built (A), and its
+Bernstein ordinates eta = Q lambda are derived from it.  Newton is affine
+invariant, so this matches a Bernstein-design fit, with a separation
+ridge on eta carried over as P = ridge * Q'Q.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma, pi
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtri
 
-from .basis import (
-    BERNSTEIN,
-    LEGENDRE,
-    DesignMatrix,
-    PredictorScale,
-    build_design,
-    max_order,
-)
-from .gprior import ModelPosterior
+from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design, max_order
+from .gprior import ModelPosterior, _gl_unit, _normalized_posterior
 from .model_space import model_prior
 from .selector import FitResult, median_probability_order
-from .transform import build_transform
+from .transform import build_transform, legendre_to_bernstein
 
 _OUTER_NODES = 64
 _WINDOW_SD = 8.0
 _T_DOF = 7.0
 _LAMBDA_BOX = 8.0
+# A fitted probit value beyond this many sd means the refit is running off
+# to infinity: the data are (quasi-)separated and need a ridge.
+_SEPARATION_LIMIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,18 @@ class OrthantSpec:
 
 @dataclass(frozen=True)
 class BinaryBfEstimate:
-    """Monte Carlo Bayes factor estimate for one order."""
+    """Monte Carlo Bayes factor estimate for one order.
+
+    ``newton_iterations`` and ``newton_converged`` report the search for the
+    joint (level, factor) mode that centers the sampler; order 0 needs none.
+    """
 
     log_bf: float
     mc_std_error: float
     n_draws: int
     seed: int
+    newton_iterations: int = 0
+    newton_converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -152,96 +165,88 @@ def _mills(t: np.ndarray) -> np.ndarray:
     return np.exp(log_pdf - log_ndtr(t))
 
 
-def _gl_window(center: float, half_width: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(m)
-    nodes = center + half_width * x
-    weights = half_width * w
-    return nodes, weights
+def _gl_window(center: float, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The outer Gauss-Legendre rule on [center - half_width, center + half_width]."""
+    u, w = _gl_unit(_OUTER_NODES)
+    return center + half_width * (2.0 * u - 1.0), 2.0 * half_width * w
 
 
-def _base_profile(spec: OrthantSpec) -> tuple[float, float]:
-    """Mode and Laplace sd of the base-model integrand prod Phi(s lambda0)."""
-    s = spec.signs
-    lam = float(np.clip(ndtri(np.clip(np.mean(s > 0), 0.01, 0.99)), -3.0, 3.0))
-    for _ in range(100):
-        t = s * lam
-        mills = _mills(t)
-        grad = float(np.sum(s * mills))
-        curv = float(np.sum(mills * (t + mills)))
-        if curv <= 0:
-            break
-        step = grad / curv
-        lam = float(np.clip(lam + step, -_LAMBDA_BOX, _LAMBDA_BOX))
-        if abs(step) < 1e-10:
-            break
-    t = s * lam
-    mills = _mills(t)
-    curv = float(np.sum(mills * (t + mills)))
-    sd = 1.0 / np.sqrt(curv) if curv > 1e-12 else 4.0
-    return lam, min(sd, 4.0)
+class _NewtonMode(NamedTuple):
+    """Result of :func:`_newton_mode`."""
+
+    theta: np.ndarray
+    curvature: np.ndarray  # A' W A + P at theta, the negative Hessian
+    iterations: int
+    converged: bool
 
 
-def _joint_mode(
-    spec: OrthantSpec, loadings: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Concave maximization of log prod Phi + log phi_k(u) over (lambda0, u).
+def _newton_mode(
+    signs: np.ndarray,
+    a: np.ndarray,
+    penalty: np.ndarray,
+    start: np.ndarray,
+    offset: float = 0.0,
+    level_box: float = np.inf,
+    fit_limit: float = np.inf,
+    max_iter: int = 100,
+) -> _NewtonMode:
+    """Maximize sum_i log Phi(s_i (offset + (A theta)_i)) - theta' P theta / 2.
 
-    Returns the mode, the factor-block curvature G = F' W F + I, the
-    linear response d u_hat / d lambda0, and the Laplace sd of lambda0.
+    Damped Newton from ``start``: a step that lowers the objective is halved
+    up to 30 times.  Converged once the gradient norm before a step is below
+    1e-9 or a step changes the objective by less than 1e-12.  It stops
+    unconverged, keeping the last accepted iterate, when every halving
+    fails, when the curvature is singular, after ``max_iter`` steps, or
+    when a fitted value |offset + (A theta)_i| exceeds ``fit_limit`` (the
+    separation signal of an unpenalized fit).  ``level_box`` clips
+    theta[0], the latent level, to [-level_box, level_box].
     """
-    s = spec.signs
-    f = loadings
-    k = f.shape[1]
-    lam = float(np.clip(ndtri(np.clip(np.mean(s > 0), 0.01, 0.99)), -3.0, 3.0))
-    u = np.zeros(k)
 
-    def value(lam_, u_):
-        t = s * (lam_ + f @ u_)
-        return float(np.sum(log_ndtr(t)) - 0.5 * u_ @ u_)
+    def objective(theta: np.ndarray) -> tuple[np.ndarray, float]:
+        t = signs * (offset + a @ theta)
+        return t, float(np.sum(log_ndtr(t)) - 0.5 * theta @ (penalty @ theta))
 
-    cur = value(lam, u)
-    for _ in range(100):
-        t = s * (lam + f @ u)
+    def derivatives(t: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mills = _mills(t)
         w = mills * (t + mills)
-        grad_lam = float(np.sum(s * mills))
-        grad_u = f.T @ (s * mills) - u
-        grad = np.concatenate(([grad_lam], grad_u))
-        fw = f * w[:, None]
-        neg_h = np.empty((k + 1, k + 1))
-        neg_h[0, 0] = np.sum(w)
-        neg_h[0, 1:] = neg_h[1:, 0] = fw.sum(axis=0)
-        neg_h[1:, 1:] = f.T @ fw + np.eye(k)
+        grad = a.T @ (signs * mills) - penalty @ theta
+        return grad, a.T @ (a * w[:, None]) + penalty
+
+    theta = np.asarray(start, dtype=float)
+    t, cur = objective(theta)
+    iterations, converged = 0, False
+    while iterations < max_iter and np.max(np.abs(t)) <= fit_limit:
+        grad, curv = derivatives(t, theta)
         try:
-            step = np.linalg.solve(neg_h, grad)
+            step = np.linalg.solve(curv, grad)
         except np.linalg.LinAlgError:
             break
-        alpha = 1.0
+        iterations += 1
         for _ in range(30):
-            lam_new = float(np.clip(lam + alpha * step[0], -_LAMBDA_BOX, _LAMBDA_BOX))
-            u_new = u + alpha * step[1:]
-            new = value(lam_new, u_new)
+            trial = theta + step
+            trial[0] = np.clip(trial[0], -level_box, level_box)
+            t_new, new = objective(trial)
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
-            alpha *= 0.5
-        lam, u, prev = lam_new, u_new, cur
-        cur = new
-        if np.linalg.norm(grad) < 1e-9 or abs(cur - prev) < 1e-12:
+            step = 0.5 * step
+        else:
             break
+        theta, t, prev, cur = trial, t_new, cur, new
+        if np.linalg.norm(grad) < 1e-9 or abs(cur - prev) < 1e-12:
+            converged = True
+            break
+    return _NewtonMode(theta, derivatives(t, theta)[1], iterations, converged)
 
-    t = s * (lam + f @ u)
-    mills = _mills(t)
-    w = mills * (t + mills)
-    fw = f * w[:, None]
-    g_mat = f.T @ fw + np.eye(k)
-    h_cross = fw.sum(axis=0)
-    h_lam = float(np.sum(w))
-    # Schur complement of the factor block gives the marginal lambda0 curvature.
-    sol = np.linalg.solve(g_mat, h_cross)
-    marg = h_lam - float(h_cross @ sol)
-    sd = 1.0 / np.sqrt(marg) if marg > 1e-12 else 4.0
-    dudlam = -sol
-    return lam, u, g_mat, dudlam, min(sd, 4.0)
+
+def _level_start(signs: np.ndarray) -> np.ndarray:
+    """Probit of the success rate (the base-model level), kept off the box."""
+    rate = np.clip(np.mean(signs > 0), 0.01, 0.99)
+    return np.array([np.clip(ndtri(rate), -3.0, 3.0)])
+
+
+def _level_sd(curv: float) -> float:
+    """Laplace sd of the level from its (marginal) curvature, capped at 4."""
+    return min(1.0 / np.sqrt(curv), 4.0) if curv > 1e-12 else 4.0
 
 
 def _sample_nodes(
@@ -347,8 +352,9 @@ def orthant_probability(
         return float(np.sum(log_ndtr(t))), 0.0
     if loadings.shape[0] != spec.n:
         raise ValueError("loadings row count must match the orthant dimension")
-    _, u_hat, g_mat, _, _ = _joint_mode_fixed_lambda(spec, loadings, lambda0)
-    chol_g = np.linalg.cholesky(g_mat)
+    k = loadings.shape[1]
+    mode = _newton_mode(spec.signs, loadings, np.eye(k), np.zeros(k), offset=lambda0)
+    chol_g = np.linalg.cholesky(mode.curvature)
     chol_cov = np.linalg.inv(chol_g).T
     log_det_chol = -float(np.sum(np.log(np.diag(chol_g))))
     half = max(2, n_draws // 2)
@@ -356,58 +362,28 @@ def orthant_probability(
         spec,
         loadings,
         np.asarray([lambda0]),
-        u_hat[None, :],
+        mode.theta[None, :],
         chol_cov,
         log_det_chol,
         half,
         seed,
-        k=loadings.shape[1],
+        k=k,
     )
     se_log = float(np.exp(0.5 * log_var[0] - log_prob[0]))
     return float(log_prob[0]), se_log
 
 
-def _joint_mode_fixed_lambda(
-    spec: OrthantSpec, loadings: np.ndarray, lambda0: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Inner mode over the factors u at one fixed lambda0."""
-    s = spec.signs
-    f = loadings
-    k = f.shape[1]
-    u = np.zeros(k)
-
-    def value(u_):
-        return float(np.sum(log_ndtr(s * (lambda0 + f @ u_))) - 0.5 * u_ @ u_)
-
-    cur = value(u)
-    for _ in range(100):
-        t = s * (lambda0 + f @ u)
-        mills = _mills(t)
-        w = mills * (t + mills)
-        grad = f.T @ (s * mills) - u
-        g_mat = f.T @ (f * w[:, None]) + np.eye(k)
-        step = np.linalg.solve(g_mat, grad)
-        alpha = 1.0
-        for _ in range(30):
-            u_new = u + alpha * step
-            new = value(u_new)
-            if np.isfinite(new) and new >= cur - 1e-12:
-                break
-            alpha *= 0.5
-        u, prev = u_new, cur
-        cur = new
-        if np.linalg.norm(grad) < 1e-9 or abs(cur - prev) < 1e-12:
-            break
-    t = s * (lambda0 + f @ u)
-    mills = _mills(t)
-    w = mills * (t + mills)
-    g_mat = f.T @ (f * w[:, None]) + np.eye(k)
-    return lambda0, u, g_mat, np.zeros(k), 0.0
-
-
 def _log_base_integral(spec: OrthantSpec) -> float:
-    lam_hat, sd = _base_profile(spec)
-    nodes, weights = _gl_window(lam_hat, _WINDOW_SD * sd, _OUTER_NODES)
+    """Log of the integral of prod Phi(s lambda0) over the flat level."""
+    mode = _newton_mode(
+        spec.signs,
+        np.ones((spec.n, 1)),
+        np.zeros((1, 1)),
+        _level_start(spec.signs),
+        level_box=_LAMBDA_BOX,
+    )
+    sd = _level_sd(float(mode.curvature[0, 0]))
+    nodes, weights = _gl_window(float(mode.theta[0]), _WINDOW_SD * sd)
     vals = log_ndtr(spec.signs[None, :] * nodes[:, None]).sum(axis=1)
     return float(logsumexp(vals + np.log(weights)))
 
@@ -459,9 +435,24 @@ def binary_log_bf(
     basis = _orthonormal_columns(design, k)
     loadings = np.sqrt(2.0 * n / (k + 1.0)) * basis
 
-    lam_hat, u_hat, g_mat, dudlam, sd = _joint_mode(spec, loadings)
-    nodes, weights = _gl_window(lam_hat, _WINDOW_SD * sd, _OUTER_NODES)
-    means = u_hat[None, :] + np.outer(nodes - lam_hat, dudlam)
+    penalty = np.eye(k + 1)
+    penalty[0, 0] = 0.0
+    mode = _newton_mode(
+        spec.signs,
+        np.column_stack([np.ones(n), loadings]),
+        penalty,
+        np.concatenate([_level_start(spec.signs), np.zeros(k)]),
+        level_box=_LAMBDA_BOX,
+    )
+    lam_hat, u_hat = float(mode.theta[0]), mode.theta[1:]
+    g_mat = mode.curvature[1:, 1:]
+    h_cross = mode.curvature[0, 1:]
+    # Schur complement of the factor block gives the marginal lambda0
+    # curvature; -sol is the linear response d u_hat / d lambda0.
+    sol = np.linalg.solve(g_mat, h_cross)
+    sd = _level_sd(float(mode.curvature[0, 0] - h_cross @ sol))
+    nodes, weights = _gl_window(lam_hat, _WINDOW_SD * sd)
+    means = u_hat[None, :] - np.outer(nodes - lam_hat, sol)
     chol_g = np.linalg.cholesky(g_mat)
     chol_cov = np.linalg.inv(chol_g).T
     log_det_chol = -float(np.sum(np.log(np.diag(chol_g))))
@@ -482,34 +473,9 @@ def binary_log_bf(
         mc_std_error=se_log,
         n_draws=2 * pairs * _OUTER_NODES,
         seed=seed,
+        newton_iterations=mode.iterations,
+        newton_converged=mode.converged,
     )
-
-
-def _probit_mle(
-    b_mat: np.ndarray, y: np.ndarray, ridge: float = 0.0
-) -> np.ndarray | None:
-    """Newton probit fit; None signals separation/non-convergence."""
-    s = 2.0 * np.asarray(y, dtype=float) - 1.0
-    p = b_mat.shape[1]
-    beta = np.zeros(p)
-    eye = np.eye(p)
-    for _ in range(60):
-        fvals = b_mat @ beta
-        if np.max(np.abs(fvals)) > 20.0:
-            return None
-        t = s * fvals
-        mills = _mills(t)
-        w = mills * (t + mills)
-        grad = b_mat.T @ (s * mills) - ridge * beta
-        hess = b_mat.T @ (b_mat * w[:, None]) + ridge * eye
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return None
-        beta = beta + step
-        if np.linalg.norm(grad) < 1e-8 * max(1.0, np.linalg.norm(beta)):
-            return beta
-    return None
 
 
 def fit_binary(
@@ -532,10 +498,10 @@ def fit_binary(
         With ``link="probit"``: ``predict`` returns success probabilities,
         ``eta_hat`` holds the maximum likelihood Bernstein coefficients of
         the selected order (ridge-stabilized under separation), and the
-        diagnostics carry the per-order Monte Carlo standard errors.
+        diagnostics carry the per-order Monte Carlo standard errors and
+        Newton iteration counts and convergence flags, per order and for
+        the refit.
     """
-    import time as _time
-
     if config is None:
         config = BinaryFitConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
@@ -550,27 +516,22 @@ def fit_binary(
     if x.size < 5:
         raise ValueError(f"need at least 5 observations, got {x.size}")
 
-    start = _time.perf_counter()
+    start = time.perf_counter()
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n = x.size
     n_max = min(max_order(n, config.cap), n - 3)
     design = build_design(x, scale, n_max, LEGENDRE)
     prior = model_prior(n_max, config.prior_a, config.prior_b)
 
-    log_bf = np.zeros(n_max + 1)
-    mc_se = np.zeros(n_max + 1)
-    for k in range(1, n_max + 1):
-        est = binary_log_bf(y_arr, design, k, n_draws=config.mc_draws, seed=config.seed)
-        log_bf[k] = est.log_bf
-        mc_se[k] = est.mc_std_error
-
-    log_post = log_bf + prior.log_probs
-    log_post -= logsumexp(log_post)
-    posterior = np.exp(log_post)
-    posterior /= posterior.sum()
-    tail = np.cumsum(posterior[::-1])[::-1]
-    inclusion = tail[1:].copy()
-
+    estimates = [
+        binary_log_bf(y_arr, design, k, n_draws=config.mc_draws, seed=config.seed)
+        for k in range(1, n_max + 1)
+    ]
+    log_bf = np.array([0.0] + [est.log_bf for est in estimates])
+    mc_se = np.array([0.0] + [est.mc_std_error for est in estimates])
+    posterior, inclusion = _normalized_posterior(
+        log_bf + prior.log_probs, np.ones(n_max + 1, dtype=bool)
+    )
     mp = ModelPosterior(
         max_order=n_max,
         n=n,
@@ -584,21 +545,29 @@ def fit_binary(
     )
     selected = median_probability_order(mp)
 
-    bern = build_design(x, scale, selected, BERNSTEIN)
-    eta_hat = _probit_mle(bern.values, y_arr)
-    if eta_hat is None:
+    pair = build_transform(selected)
+
+    def refit_with(ridge: float) -> _NewtonMode:
+        # A ridge on the Bernstein ordinates eta = Q lambda is ridge * Q'Q.
+        return _newton_mode(
+            spec.signs, design.values[:, : selected + 1], ridge * (pair.q.T @ pair.q),
+            np.zeros(selected + 1), fit_limit=_SEPARATION_LIMIT,
+        )
+
+    refit = refit_with(0.0)
+    if not refit.converged:
         ridge = 1e-3 * n
         warnings.warn(
             f"separation in the order-{selected} probit refit; applying a "
             f"ridge penalty {ridge:g}",
             RuntimeWarning,
         )
-        eta_hat = _probit_mle(bern.values, y_arr, ridge=ridge)
-        if eta_hat is None:
+        refit = refit_with(ridge)
+        if not refit.converged:
             raise RuntimeError("probit refit failed even with ridge stabilization")
-    pair = build_transform(selected)
-    lambda_hat = pair.q_inv @ eta_hat
-    elapsed = _time.perf_counter() - start
+    lambda_hat = refit.theta
+    eta_hat = legendre_to_bernstein(lambda_hat, pair)
+    elapsed = time.perf_counter() - start
 
     return FitResult(
         selected_order=selected,
@@ -618,5 +587,9 @@ def fit_binary(
             "inclusion": inclusion,
             "mc_draws": config.mc_draws,
             "seed": config.seed,
+            "newton_iterations": [0] + [est.newton_iterations for est in estimates],
+            "newton_converged": [True] + [est.newton_converged for est in estimates],
+            "refit_newton_iterations": refit.iterations,
+            "refit_newton_converged": refit.converged,
         },
     )

@@ -578,6 +578,23 @@ def model_posterior(
     return _posterior_from_r2(n, r2, prior, omega_prior, rel_tol)
 
 
+def _normalized_posterior(
+    log_post: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior over orders 0..N from unnormalized log masses, and inclusion.
+
+    Orders outside the boolean mask ``keep`` get zero mass; inclusion[j - 1]
+    is the posterior probability that degree j is in the model.
+    """
+    log_post = log_post - logsumexp(log_post[keep])
+    posterior = np.exp(log_post)
+    posterior[~keep] = 0.0
+    posterior /= posterior.sum()
+    # Degree j belongs to every model of order >= j: tail sums.
+    tail = np.cumsum(posterior[::-1])[::-1]
+    return posterior, tail[1:].copy()
+
+
 def _posterior_from_r2(
     n: int,
     r2: np.ndarray,
@@ -623,14 +640,7 @@ def _posterior_from_r2(
 
     log_post = np.full(n_max + 1, -np.inf)
     log_post[kept] = log_bf[kept] + prior.log_probs[kept]
-    log_post -= logsumexp(log_post[kept])
-    posterior = np.exp(log_post)
-    posterior[~keep] = 0.0
-    posterior /= posterior.sum()
-
-    # Degree j belongs to every model of order >= j: tail sums.
-    tail = np.cumsum(posterior[::-1])[::-1]
-    inclusion = tail[1:].copy()
+    posterior, inclusion = _normalized_posterior(log_post, keep)
     xi_weighted = np.where(keep, xi * posterior, 0.0)
     tail_shrunk = np.cumsum(xi_weighted[::-1])[::-1]
     shrunken_inclusion = tail_shrunk[1:].copy()

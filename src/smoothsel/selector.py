@@ -314,11 +314,22 @@ def fit(
 
     lambda_full = factor.coefficients(n_max)
     dj = np.einsum("ij,ij->j", columns, columns)
-    losses = _losses(mp, dj, lambda_full, shrunken=True)
+    # The losses are quadratic in the coefficients.  Selecting on the
+    # coefficients divided by 2^e > max|y - ybar| keeps them representable at
+    # any response scale; the reported losses are scaled back by 4^e, which
+    # is exact, and read inf or 0 where that leaves the float range.
+    exp2 = int(np.frexp(factor.scale)[1])
+    unit_full = np.ldexp(lambda_full, -exp2)
+    unit_losses = _losses(mp, dj, unit_full, shrunken=True)
     if config.rule == RULE_MPM:
         selected = median_probability_order(mp)
     else:
-        selected = int(np.nanargmin(losses))
+        selected = int(np.nanargmin(unit_losses))
+    with np.errstate(over="ignore"):
+        losses = np.ldexp(unit_losses, 2 * exp2)
+        loss_equivalence = float(
+            np.ldexp(loss_equivalence_diagnostic(mp, dj / n, unit_full), 2 * exp2)
+        )
 
     # Selected-order coefficients, shrunken away from the level.
     lam_shrunk = float(mp.shrinkage[selected]) * factor.coefficients(selected)
@@ -333,7 +344,7 @@ def fit(
         "log_bf": mp.log_bf,
         "r2": mp.r2,
         "loss": losses,
-        "loss_equivalence": loss_equivalence_diagnostic(mp, dj / n, lambda_full),
+        "loss_equivalence": loss_equivalence,
         "excluded": list(mp.excluded),
         "lambda_full": lambda_full,
         "col_means": factor.col_means,

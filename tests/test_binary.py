@@ -4,18 +4,24 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.optimize import minimize
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import multivariate_normal
 
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
+    _LAMBDA_BOX,
+    _SEPARATION_LIMIT,
     BinaryFitConfig,
     OrthantSpec,
+    _newton_mode,
+    _orthonormal_columns,
     binary_log_bf,
     fit_binary,
     orthant_probability,
     sigma_k,
 )
+from smoothsel.transform import build_transform
 
 UNIT = PredictorScale(0.0, 1.0)
 
@@ -243,6 +249,13 @@ class TestFitBinary:
         assert np.all((probs >= 0.0) & (probs <= 1.0))
         for key in ("log_bf", "mc_std_error", "inclusion", "mc_draws", "seed"):
             assert key in result.diagnostics, key
+        diag = result.diagnostics
+        assert len(diag["newton_iterations"]) == result.max_order + 1
+        assert diag["newton_iterations"][0] == 0
+        assert min(diag["newton_iterations"][1:]) >= 1
+        assert diag["newton_converged"] == [True] * (result.max_order + 1)
+        assert diag["refit_newton_iterations"] >= 1
+        assert diag["refit_newton_converged"] is True
         payload = result.to_dict()
         assert payload["omega_prior"] is None
         assert payload["link"] == "probit"
@@ -265,6 +278,12 @@ class TestFitBinary:
         with pytest.warns(RuntimeWarning, match="ridge"):
             result = fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
         assert np.all(np.isfinite(result.eta_hat))
+        # The ridge acts on the Bernstein ordinates, as in a Bernstein refit.
+        bern = build_design(x, result.scale, result.selected_order, "bernstein")
+        ridge = 1e-3 * x.size * np.eye(result.selected_order + 1)
+        ref = scipy_mode(2.0 * y - 1.0, bern.values, ridge)
+        assert np.max(np.abs(result.eta_hat - ref)) <= 1e-7 * np.max(np.abs(ref))
+        assert result.diagnostics["refit_newton_converged"] is True
 
     def test_constant_response_rejected_with_warning(self):
         x = np.linspace(0, 1, 30)
@@ -283,3 +302,117 @@ class TestFitBinary:
                 np.linspace(0, 1, 10),
                 BinaryFitConfig(mc_draws=1000),
             )
+
+
+def scipy_mode(signs, a, penalty, offset=0.0):
+    """Reference maximizer of sum log Phi(s (offset + A theta)) - theta'P theta/2."""
+
+    def neg(theta):
+        t = signs * (offset + a @ theta)
+        mills = np.exp(-0.5 * t * t - 0.5 * np.log(2.0 * np.pi) - log_ndtr(t))
+        value = np.sum(log_ndtr(t)) - 0.5 * theta @ penalty @ theta
+        grad = a.T @ (signs * mills) - penalty @ theta
+        return -value, -grad
+
+    res = minimize(
+        neg, np.zeros(a.shape[1]), jac=True, method="BFGS",
+        options={"gtol": 1e-11, "maxiter": 10000},
+    )
+    return res.x
+
+
+def probit_sample(n, order, seed):
+    """Probit data on a smooth curve, with its order-``order`` Legendre design."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, n)
+    y = (rng.uniform(size=n) < ndtr(1.5 * np.sin(3.0 * x) - 0.8)).astype(int)
+    return x, 2.0 * y - 1.0, build_design(x, UNIT, order, "legendre")
+
+
+class TestNewtonMode:
+    """The one damped-Newton helper behind every mode of the probit path."""
+
+    def roles(self):
+        n, k = 60, 3
+        _, signs, design = probit_sample(n, k, seed=21)
+        loadings = np.sqrt(2.0 * n / (k + 1.0)) * _orthonormal_columns(design, k)
+        joint_penalty = np.eye(k + 1)
+        joint_penalty[0, 0] = 0.0
+        return {
+            "base": (signs, np.ones((n, 1)), np.zeros((1, 1)), 0.0),
+            "joint": (signs, np.column_stack([np.ones(n), loadings]), joint_penalty, 0.0),
+            "fixed-level": (signs, loadings, np.eye(k), 0.35),
+            "refit": (signs, design.values, np.zeros((k + 1, k + 1)), 0.0),
+        }
+
+    @pytest.mark.parametrize("role", ["base", "joint", "fixed-level", "refit"])
+    def test_mode_matches_scipy_minimize(self, role):
+        signs, a, penalty, offset = self.roles()[role]
+        mode = _newton_mode(
+            signs, a, penalty, np.zeros(a.shape[1]), offset=offset,
+            level_box=_LAMBDA_BOX if role in ("base", "joint") else np.inf,
+        )
+        assert mode.converged
+        assert 1 <= mode.iterations < 20
+        ref = scipy_mode(signs, a, penalty, offset)
+        assert np.max(np.abs(mode.theta - ref)) <= 1e-7 * max(1.0, np.max(np.abs(ref)))
+        # The returned curvature is A' W A + P at the mode.
+        t = signs * (offset + a @ mode.theta)
+        mills = np.exp(-0.5 * t * t - 0.5 * np.log(2.0 * np.pi) - log_ndtr(t))
+        curv = a.T @ (a * (mills * (t + mills))[:, None]) + penalty
+        np.testing.assert_allclose(mode.curvature, curv, rtol=1e-12, atol=1e-12)
+
+    def test_separated_data_does_not_converge(self):
+        x = np.linspace(0.0, 1.0, 40)
+        signs = np.where(x > 0.5, 1.0, -1.0)
+        design = build_design(x, UNIT, 2, "legendre")
+        mode = _newton_mode(
+            signs, design.values, np.zeros((3, 3)), np.zeros(3),
+            fit_limit=_SEPARATION_LIMIT,
+        )
+        assert not mode.converged
+        assert np.max(np.abs(design.values @ mode.theta)) > _SEPARATION_LIMIT
+
+    def test_iteration_cap_reports_not_converged(self):
+        signs, a, penalty, _ = self.roles()["joint"]
+        start = np.zeros(a.shape[1])
+        mode = _newton_mode(signs, a, penalty, start, max_iter=1)
+        assert mode.iterations == 1
+        assert not mode.converged
+        full = _newton_mode(signs, a, penalty, start)
+        assert full.converged and full.iterations > 1
+
+    def test_failed_line_search_keeps_the_last_iterate(self):
+        # A negative penalty makes the curvature negative definite, so the
+        # Newton direction points downhill and every halving is rejected.
+        signs = np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
+        start = np.array([0.25])
+        mode = _newton_mode(signs, np.ones((40, 1)), np.array([[-40.0]]), start)
+        assert not mode.converged
+        assert mode.iterations == 1
+        np.testing.assert_array_equal(mode.theta, start)
+
+    def test_level_box_clips_the_level(self):
+        # An all-ones response pushes the level to +inf; a step that would
+        # leave the box is cut back to its edge.
+        signs = np.ones(20)
+        start = np.array([_LAMBDA_BOX - 0.1])
+        mode = _newton_mode(
+            signs, np.ones((20, 1)), np.zeros((1, 1)), start, level_box=_LAMBDA_BOX
+        )
+        assert mode.theta[0] == _LAMBDA_BOX
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.06])
+    def test_legendre_refit_matches_bernstein_mle(self, ridge):
+        k = 4
+        x, signs, design = probit_sample(120, k, seed=5)
+        q = build_transform(k).q
+        mode = _newton_mode(
+            signs, design.values, ridge * (q.T @ q), np.zeros(k + 1),
+            fit_limit=_SEPARATION_LIMIT,
+        )
+        assert mode.converged
+        bern = build_design(x, UNIT, k, "bernstein").values
+        ref = scipy_mode(signs, bern, ridge * np.eye(k + 1))
+        eta = q @ mode.theta
+        assert np.max(np.abs(eta - ref)) <= 1e-7 * max(1.0, np.max(np.abs(ref)))

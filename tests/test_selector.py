@@ -1,6 +1,7 @@
 """Median probability model, averaged predictor, loss rule and fit()."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -302,9 +303,14 @@ class TestFit:
 
     def test_selected_order_invariant_to_response_scaling(self):
         x, y = self.smooth_data()
-        order = fit(x, y).selected_order
-        for factor in (10.0, 1e-200, 1e200):
-            assert fit(x, factor * y).selected_order == order, factor
+        for rule in ("mpm", "loss"):
+            config = FitConfig(rule=rule)
+            order = fit(x, y, config).selected_order
+            for factor in (10.0, 1e-200, 1e200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    result = fit(x, factor * y, config)
+                assert result.selected_order == order, (rule, factor)
 
     def test_loss_rule_agrees_on_strong_signal(self):
         x, y = self.smooth_data()

@@ -4,10 +4,10 @@ The package fits nonparametric regression curves as Bernstein polynomials
 whose order (degree of smoothness) is chosen by Bayesian model selection
 over an equivalent nested family of shifted Legendre models.  Mixtures of
 g-priors give closed one-dimensional integrals for the Bayes factors, the
-median probability model picks the order, and the final curve is returned
-in Bernstein form.  Binary responses are handled through a probit latent
-variable representation, and a cross-validation baseline is included for
-benchmarking.
+median probability model picks the order, and the fitted curve is kept as
+Legendre coefficients and reported in Bernstein form.  Binary responses
+are handled through a probit latent variable representation, and a
+cross-validation baseline is included for benchmarking.
 """
 
 from .basis import (

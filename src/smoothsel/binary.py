@@ -22,10 +22,10 @@ sum_i log Phi(s_i (c + (A theta)_i)) - theta' P theta / 2 and reports its
 iterations and convergence.  The base level has A = 1, P = 0; the joint
 level and factor mode A = [1 | F], P = diag(0, I); the factor mode at a
 fixed level A = F, c = lambda_0, P = I.  The probit refit of the selected
-order runs on the Legendre design the selection built (A), and its
-Bernstein ordinates eta = Q lambda are derived from it.  Newton is affine
-invariant, so this matches a Bernstein-design fit, with a separation
-ridge on eta carried over as P = ridge * Q'Q.
+order runs on the Legendre design the selection built (A), and the
+Bernstein ordinates eta = Q lambda are derived from it for reporting.
+Newton is affine invariant, so this matches a Bernstein-design fit, with a
+separation ridge on eta carried over as P = ridge * Q'Q.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri
 
-from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design, max_order
-from .gprior import ModelPosterior, _gl_unit, _normalized_posterior
+from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design
+from .gprior import _gl_unit, _normalized_posterior
 from .model_space import model_prior
-from .selector import FitResult, median_probability_order
-from .transform import build_transform, legendre_to_bernstein
+from .selector import FitResult, _bernstein_view, _mpm_order, _order_bound
+from .transform import build_transform
 
 _OUTER_NODES = 64
 _WINDOW_SD = 8.0
@@ -400,7 +400,7 @@ def binary_log_bf(
     Parameters
     ----------
     y : np.ndarray
-        Binary response.
+        Binary response with both classes present.
     design : DesignMatrix
         Legendre design of order >= k.
     k : int
@@ -421,15 +421,14 @@ def binary_log_bf(
         raise ValueError(f"response length {spec.n} does not match design rows")
     if n_draws < 1000:
         raise ValueError(f"n_draws must be >= 1000, got {n_draws}")
+    if np.unique(spec.signs).size < 2:
+        # prod Phi(+-lambda_0) -> 1 as the level runs off: both integrals diverge.
+        raise ValueError(
+            "all-0 or all-1 response: the marginal likelihoods diverge under "
+            "the flat level prior"
+        )
     if k == 0:
         return BinaryBfEstimate(log_bf=0.0, mc_std_error=0.0, n_draws=0, seed=seed)
-    n_ones = int(np.sum(spec.signs > 0))
-    if n_ones == 0 or n_ones == spec.n:
-        warnings.warn(
-            "all-0 or all-1 response: the orthant mass concentrates at extreme "
-            "levels and the Bayes factor estimate has high variance",
-            RuntimeWarning,
-        )
 
     n = spec.n
     basis = _orthonormal_columns(design, k)
@@ -495,12 +494,13 @@ def fit_binary(
     Returns
     -------
     FitResult
-        With ``link="probit"``: ``predict`` returns success probabilities,
-        ``eta_hat`` holds the maximum likelihood Bernstein coefficients of
-        the selected order (ridge-stabilized under separation), and the
-        diagnostics carry the per-order Monte Carlo standard errors and
-        Newton iteration counts and convergence flags, per order and for
-        the refit.
+        With ``link="probit"``: ``lambda_hat`` holds the maximum
+        likelihood Legendre coefficients of the selected order
+        (ridge-stabilized under separation), ``predict`` returns success
+        probabilities, ``eta_hat`` reports the same curve's Bernstein
+        ordinates, and the diagnostics carry the per-order Monte Carlo
+        standard errors and Newton iteration counts and convergence flags,
+        per order and for the refit, and the Bernstein error bound.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -509,8 +509,7 @@ def fit_binary(
     if x.size != y_arr.size:
         raise ValueError(f"x and y lengths differ: {x.size} vs {y_arr.size}")
     spec = OrthantSpec.from_response(y_arr)
-    n_ones = int(np.sum(spec.signs > 0))
-    if n_ones == 0 or n_ones == spec.n:
+    if np.unique(spec.signs).size < 2:
         warnings.warn("constant binary response carries no order information", RuntimeWarning)
         raise ValueError("constant binary response: every orthant is one-sided")
     if x.size < 5:
@@ -519,7 +518,7 @@ def fit_binary(
     start = time.perf_counter()
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n = x.size
-    n_max = min(max_order(n, config.cap), n - 3)
+    n_max = _order_bound(x, config.cap)
     design = build_design(x, scale, n_max, LEGENDRE)
     prior = model_prior(n_max, config.prior_a, config.prior_b)
 
@@ -532,18 +531,7 @@ def fit_binary(
     posterior, inclusion = _normalized_posterior(
         log_bf + prior.log_probs, np.ones(n_max + 1, dtype=bool)
     )
-    mp = ModelPosterior(
-        max_order=n_max,
-        n=n,
-        log_bf=log_bf,
-        posterior=posterior,
-        inclusion=inclusion,
-        shrinkage=np.ones(n_max + 1),
-        shrunken_inclusion=inclusion.copy(),
-        r2=np.zeros(n_max + 1),
-        excluded=(),
-    )
-    selected = median_probability_order(mp)
+    selected = _mpm_order(inclusion)
 
     pair = build_transform(selected)
 
@@ -566,7 +554,7 @@ def fit_binary(
         if not refit.converged:
             raise RuntimeError("probit refit failed even with ridge stabilization")
     lambda_hat = refit.theta
-    eta_hat = legendre_to_bernstein(lambda_hat, pair)
+    eta_hat, eta_bound = _bernstein_view(lambda_hat, pair)
     elapsed = time.perf_counter() - start
 
     return FitResult(
@@ -591,5 +579,6 @@ def fit_binary(
             "newton_converged": [True] + [est.newton_converged for est in estimates],
             "refit_newton_iterations": refit.iterations,
             "refit_newton_converged": refit.converged,
+            "bernstein_error_bound": eta_bound,
         },
     )

@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="predictor interval (default: data range)")
     p_fit.add_argument("--binary", action="store_true", help="treat the response as binary probit")
     p_fit.add_argument("--mc-draws", type=_positive_int, default=4000,
-                       help="Monte Carlo budget per order (binary only)")
+                       help="Monte Carlo budget per order, >= 1000 (binary only)")
     p_fit.add_argument("--seed", type=int, default=0)
 
     for name, default_methods in (("simulate", "bayes"), ("compare", "bayes,cv")):
@@ -156,7 +156,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             prior_a=args.prior_a,
             prior_b=args.prior_b,
             cap=args.cap,
-            mc_draws=max(args.mc_draws, 1000),
+            mc_draws=args.mc_draws,
             seed=args.seed,
             scale=scale,
         )

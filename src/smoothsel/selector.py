@@ -6,24 +6,27 @@ probability exceeds one half, the default) or the minimizer of a
 predictive squared-error loss whose model term weighs inclusion
 probabilities against per-model shrinkage.  One QR factorization of the
 centered Legendre design gives every nested r2, the full-model and the
-selected-order coefficients; the Legendre coefficients are the fitted
-model, and the reported Bernstein ordinates are their image under the
-exact basis-change matrix.
+selected-order coefficients.  A fit is its Legendre coefficients:
+``predict`` evaluates them with the Legendre recurrence, and the Bernstein
+ordinates are derived from them only for reporting, with a bound on the
+rounding of that transform.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
-from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design, max_order
+from .basis import LEGENDRE, PredictorScale, build_design, max_order
 from .gprior import ModelPosterior, OmegaPrior, _factorize, _posterior_from_r2
 from .model_space import model_prior
-from .transform import build_transform, legendre_to_bernstein
+from .transform import TransformPair, build_transform, legendre_to_bernstein
 
 RULE_MPM = "mpm"
 RULE_LOSS = "loss"
@@ -44,7 +47,8 @@ class FitConfig:
         predictive loss model term).
     cap : int
         Upper bound on the maximum order; the working bound is
-        min(floor(n^(2/3)), cap, n - 3).
+        min(floor(n^(2/3)), cap, n - 3, d - 1) for d distinct predictor
+        values, with a RuntimeWarning when d - 1 is the binding term.
     rel_tol : float
         Relative tolerance of the Bayes factor quadrature.
     scale : PredictorScale, optional
@@ -68,9 +72,10 @@ class FitConfig:
 class FitResult:
     """Fitted curve plus the posterior evidence behind the selected order.
 
-    ``lambda_hat`` holds the shrunken Legendre coefficients of the selected
-    model (index 0 is the level term), ``eta_hat`` the Bernstein ordinates
-    actually used for prediction.  ``link`` is ``"identity"`` for
+    ``lambda_hat`` holds the Legendre coefficients of the selected model
+    (index 0 is the level term), which ``predict`` evaluates; ``eta_hat``
+    reports the same curve's Bernstein ordinates, accurate to within
+    ``diagnostics["bernstein_error_bound"]``.  ``link`` is ``"identity"`` for
     continuous fits and ``"probit"`` for binary ones, in which case
     ``predict`` returns probabilities.
     """
@@ -90,11 +95,9 @@ class FitResult:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the fitted curve (or probability) at new points."""
-        design = build_design(x, self.scale, self.selected_order, BERNSTEIN)
-        values = design.values @ self.eta_hat
+        design = build_design(x, self.scale, self.selected_order, LEGENDRE)
+        values = design.values @ self.lambda_hat
         if self.link == "probit":
-            from scipy.special import ndtr
-
             return ndtr(values)
         return values
 
@@ -150,8 +153,48 @@ def median_probability_order(mp: ModelPosterior) -> int:
     Returns 0 when no degree clears the threshold (the strict inequality
     makes exact halves drop out, favoring the smaller model).
     """
-    above = np.nonzero(mp.inclusion > 0.5)[0]
+    return _mpm_order(mp.inclusion)
+
+
+def _mpm_order(inclusion: np.ndarray) -> int:
+    """The median probability rule on an inclusion curve over degrees 1..N."""
+    above = np.nonzero(inclusion > 0.5)[0]
     return int(above.max() + 1) if above.size else 0
+
+
+def _order_bound(x: np.ndarray, cap: int) -> int:
+    """Largest order fitted to x: min(floor(n^(2/3)), cap, n - 3, #distinct - 1)."""
+    bound = min(max_order(x.size, cap), x.size - 3)
+    distinct = np.unique(x).size
+    if distinct - 1 < bound:
+        warnings.warn(
+            f"only {distinct} distinct predictor values: the maximum order is "
+            f"capped at {distinct - 1}",
+            RuntimeWarning,
+        )
+        bound = distinct - 1
+    return bound
+
+
+def _shrunken_legendre(
+    beta: np.ndarray, xi: float, col_means: np.ndarray, ybar: float
+) -> np.ndarray:
+    """Legendre vector [ybar - xi beta.m, xi beta] of a shrunken prefix model."""
+    lam = xi * beta
+    return np.concatenate(([ybar - float(lam @ col_means[: lam.size])], lam))
+
+
+def _bernstein_view(lam: np.ndarray, pair: TransformPair) -> tuple[np.ndarray, float]:
+    """Bernstein ordinates eta = Q lam and the bound (k + 2) eps max(|Q| |lam|).
+
+    The forward-error bound of Q lam at order k (Higham, Accuracy and
+    Stability, section 3.5), counting Q's own rounding.  Bernstein rows are
+    nonnegative and sum to 1, so it also bounds the gap between the curves
+    of eta and lam.
+    """
+    eta = legendre_to_bernstein(lam, pair)
+    scale = float(np.max(np.abs(pair.q) @ np.abs(lam)))
+    return eta, (pair.order + 2) * np.finfo(float).eps * scale
 
 
 def bma_predictor(
@@ -304,7 +347,7 @@ def fit(
     start = time.perf_counter()
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n = x.size
-    n_max = min(max_order(n, config.cap), n - 3)
+    n_max = _order_bound(x, config.cap)
 
     design = build_design(x, scale, n_max, LEGENDRE)
     prior = model_prior(n_max, config.prior_a, config.prior_b)
@@ -331,11 +374,9 @@ def fit(
             np.ldexp(loss_equivalence_diagnostic(mp, dj / n, unit_full), 2 * exp2)
         )
 
-    # Selected-order coefficients, shrunken away from the level.
-    lam_shrunk = float(mp.shrinkage[selected]) * factor.coefficients(selected)
-    lam0 = factor.ybar - float(lam_shrunk @ factor.col_means[:selected])
-    lambda_hat = np.concatenate(([lam0], lam_shrunk))
-    eta_hat = legendre_to_bernstein(lambda_hat, build_transform(selected))
+    beta, xi = factor.coefficients(selected), float(mp.shrinkage[selected])
+    lambda_hat = _shrunken_legendre(beta, xi, factor.col_means, factor.ybar)
+    eta_hat, eta_bound = _bernstein_view(lambda_hat, build_transform(selected))
     elapsed = time.perf_counter() - start
 
     diagnostics = {
@@ -349,6 +390,7 @@ def fit(
         "lambda_full": lambda_full,
         "col_means": factor.col_means,
         "ybar": factor.ybar,
+        "bernstein_error_bound": eta_bound,
     }
     return FitResult(
         selected_order=selected,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -22,7 +23,7 @@ from scipy.integrate import quad
 
 from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
-from .selector import FitConfig, FitResult, fit
+from .selector import FitConfig, FitResult, _shrunken_legendre, fit
 
 POLY5 = "poly5"
 PWLINEAR = "pwlinear"
@@ -215,15 +216,14 @@ def full_order_curve(result: FitResult, grid: np.ndarray) -> np.ndarray:
     condition number is about 1e17, which would bury the curve in rounding.
     """
     diag = result.diagnostics
-    lam_full = np.asarray(diag["lambda_full"], dtype=float)
-    col_means = np.asarray(diag["col_means"], dtype=float)
-    ybar = float(diag["ybar"])
     excluded = set(diag.get("excluded", ()))
     k_full = max(k for k in range(result.max_order + 1) if k not in excluded)
-    xi = float(result.shrinkage[k_full])
-    lam_shrunk = xi * lam_full[:k_full]
-    lam0 = ybar - float(lam_shrunk @ col_means[:k_full]) if k_full else ybar
-    lam = np.concatenate(([lam0], lam_shrunk))
+    lam = _shrunken_legendre(
+        np.asarray(diag["lambda_full"], dtype=float)[:k_full],
+        float(result.shrinkage[k_full]),
+        np.asarray(diag["col_means"], dtype=float),
+        float(diag["ybar"]),
+    )
     return build_design(grid, result.scale, k_full, LEGENDRE).values @ lam
 
 
@@ -362,29 +362,22 @@ def run_grid(
 
     cols = _columns(do_cv, include_timing)
     records: list[SimulationRecord] = []
-    sink = open(output_path, "w", encoding="utf-8", newline="") if output_path else None
-    try:
-        if sink:
+    with ExitStack() as stack:
+        sink = None
+        if output_path:
+            sink = stack.enter_context(
+                open(output_path, "w", encoding="utf-8", newline="")
+            )
             sink.write(",".join(cols) + "\n")
             sink.flush()
         if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(worker, tasks)
-                for record in results:
-                    records.append(record)
-                    if sink:
-                        row = [_format(getattr(record, c)) for c in cols]
-                        sink.write(",".join(row) + "\n")
-                        sink.flush()
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+            results = pool.map(worker, tasks)
         else:
-            for task in tasks:
-                record = worker(task)
-                records.append(record)
-                if sink:
-                    row = [_format(getattr(record, c)) for c in cols]
-                    sink.write(",".join(row) + "\n")
-                    sink.flush()
-    finally:
-        if sink:
-            sink.close()
+            results = map(worker, tasks)  # in the calling thread
+        for record in results:
+            records.append(record)
+            if sink:
+                sink.write(",".join(_format(getattr(record, c)) for c in cols) + "\n")
+                sink.flush()
     return records

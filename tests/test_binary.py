@@ -21,6 +21,7 @@ from smoothsel.binary import (
     orthant_probability,
     sigma_k,
 )
+from smoothsel.selector import _bernstein_view
 from smoothsel.transform import build_transform
 
 UNIT = PredictorScale(0.0, 1.0)
@@ -197,13 +198,15 @@ class TestBinaryLogBf:
         assert 0.6 <= float(np.mean(ratios)) <= 0.85
         assert 0.6 <= float(np.median(ratios)) <= 0.85
 
-    def test_one_sided_response_warns(self):
+    def test_one_sided_response_raises(self):
+        # Under the flat level prior both marginal likelihoods diverge.
         design = build_design(
             np.linspace(0.05, 0.95, 20), UNIT, 2, "legendre"
         )
-        with pytest.warns(RuntimeWarning, match="all-0 or all-1"):
-            est = binary_log_bf(np.ones(20, dtype=int), design, 1, seed=0)
-        assert np.isfinite(est.log_bf)
+        for value in (0, 1):
+            for k in (0, 1, 2):
+                with pytest.raises(ValueError, match="all-0 or all-1"):
+                    binary_log_bf(np.full(20, value), design, k, seed=0)
 
     def test_rejects_non_binary_response(self):
         design = legendre_design(12, 2, seed=2)
@@ -284,6 +287,27 @@ class TestFitBinary:
         ref = scipy_mode(2.0 * y - 1.0, bern.values, ridge)
         assert np.max(np.abs(result.eta_hat - ref)) <= 1e-7 * np.max(np.abs(ref))
         assert result.diagnostics["refit_newton_converged"] is True
+
+    def test_discrete_predictor_caps_the_order(self):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 5, 300) / 4.0
+        y = (rng.uniform(size=300) < ndtr(2.0 * x - 1.0)).astype(int)
+        with pytest.warns(RuntimeWarning, match="5 distinct predictor values"):
+            result = fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
+        assert result.max_order == 4
+        assert 1 <= result.selected_order <= 4
+
+    def test_bernstein_view_of_the_refit(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 1, 60)
+        y = (rng.uniform(size=60) < ndtr(2.0 * x - 1.0)).astype(int)
+        result = fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
+        eta, bound = _bernstein_view(result.lambda_hat, build_transform(result.selected_order))
+        np.testing.assert_array_equal(result.eta_hat, eta)
+        assert result.diagnostics["bernstein_error_bound"] == bound
+        grid = np.linspace(x.min(), x.max(), 201)
+        leg = build_design(grid, result.scale, result.selected_order, "legendre")
+        np.testing.assert_array_equal(result.predict(grid), ndtr(leg.values @ result.lambda_hat))
 
     def test_constant_response_rejected_with_warning(self):
         x = np.linspace(0, 1, 30)

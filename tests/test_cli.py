@@ -73,6 +73,16 @@ class TestFitCommand:
         assert payload["omega_prior"] is None
         assert sum(payload["posterior"]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_mc_draws_below_minimum_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, 80)
+        y = (rng.uniform(size=80) < 0.3 + 0.5 * x).astype(float)
+        data = tmp_path / "bin.csv"
+        write_xy(data, x, y)
+        code = main(["fit", str(data), "--binary", "--mc-draws", "500"])
+        assert code == 2
+        assert "mc_draws must be >= 1000, got 500" in capsys.readouterr().err
+
     def test_missing_column_names_it(self, tmp_path, capsys):
         data = tmp_path / "cols.csv"
         write_xy(data, [0.1, 0.5, 0.9], [1.0, 2.0, 3.0], header=("a", "b"))

@@ -3,6 +3,8 @@
 import json
 import warnings
 from dataclasses import replace
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import ModelPosterior
 from smoothsel.selector import (
     FitConfig,
+    _bernstein_view,
     _losses,
     fit,
     bma_predictor,
@@ -21,6 +24,43 @@ from smoothsel.selector import (
 from smoothsel.transform import build_transform, condition_diagnostic
 
 UNIT = PredictorScale(0.0, 1.0)
+
+
+def exact(values):
+    return np.array([Fraction(float(v)) for v in values], dtype=object)
+
+
+def exact_q(order):
+    """Legendre-to-Bernstein matrix in rational arithmetic, via the power basis.
+
+    psi_k(u) = sum_i (-1)^(k+i) C(k, i) C(k+i, i) u^i and
+    u^i = sum_{j>=i} C(j, i) / C(order, i) b_j(u), an independent route
+    from the closed form the library rounds.
+    """
+    q = np.empty((order + 1, order + 1), dtype=object)
+    for j in range(order + 1):
+        for k in range(order + 1):
+            q[j, k] = sum(
+                Fraction((-1) ** (k + i) * comb(k, i) * comb(k + i, i) * comb(j, i),
+                         comb(order, i))
+                for i in range(min(j, k) + 1)
+            )
+    return q
+
+
+class TestBernsteinErrorBound:
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_bounds_the_transform_error_exactly(self, order):
+        rng = np.random.default_rng(order)
+        pair = build_transform(order)
+        q = exact_q(order)
+        # The library's Q is the exact matrix correctly rounded.
+        assert np.all(np.abs(exact(pair.q.ravel()) - q.ravel()) <= np.abs(q.ravel()) / 2**53)
+        for _ in range(5):
+            lam = rng.standard_normal(order + 1) * 10.0 ** rng.uniform(-3, 3, order + 1)
+            eta, bound = _bernstein_view(lam, pair)
+            err = np.abs(exact(eta) - q @ exact(lam))
+            assert max(err) <= Fraction(bound)
 
 
 def make_mp(posterior, shrinkage=None, excluded=()):
@@ -250,19 +290,55 @@ class TestFit:
         np.testing.assert_allclose(result.predict(grid), 2.5, atol=1e-6)
 
     def test_transform_path_bases_agree(self):
-        # The Legendre coefficients and the transformed Bernstein
-        # ordinates describe one curve; the allowed drift is the
-        # round-trip conditioning of the coefficient map.
+        # predict evaluates the Legendre coefficients; the reported
+        # Bernstein ordinates describe the same curve, and the allowed
+        # drift is the round-trip conditioning of the coefficient map.
         x, y = self.smooth_data()
         result = fit(x, y)
         assert result.selected_order <= 10
         grid = np.linspace(x.min(), x.max(), 801)
-        leg = build_design(grid, result.scale, result.selected_order, "legendre")
-        legendre_curve = leg.values @ result.lambda_hat
-        bernstein_curve = result.predict(grid)
+        bern = build_design(grid, result.scale, result.selected_order, "bernstein")
+        bernstein_curve = bern.values @ result.eta_hat
         cond = condition_diagnostic(build_transform(result.selected_order))
-        gap = np.max(np.abs(legendre_curve - bernstein_curve))
+        gap = np.max(np.abs(bernstein_curve - result.predict(grid)))
         assert gap <= 1e-6 * cond
+
+    def test_predict_evaluates_lambda_hat(self):
+        x, y = self.smooth_data(n=200, seed=5)
+        result = fit(x, y)
+        grid = np.linspace(x.min(), x.max(), 301)
+        leg = build_design(grid, result.scale, result.selected_order, "legendre")
+        np.testing.assert_array_equal(result.predict(grid), leg.values @ result.lambda_hat)
+
+    def test_bernstein_error_bound_reported(self):
+        x, y = self.smooth_data(n=200, seed=6)
+        result = fit(x, y)
+        bound = result.diagnostics["bernstein_error_bound"]
+        pair = build_transform(result.selected_order)
+        eta, expected = _bernstein_view(result.lambda_hat, pair)
+        assert bound == expected
+        np.testing.assert_array_equal(result.eta_hat, eta)
+        gap = np.abs(np.array(exact_q(result.selected_order) @ exact(result.lambda_hat))
+                     - exact(result.eta_hat))
+        assert max(gap) <= Fraction(bound)
+        assert json.loads(result.to_json())["diagnostics"]["bernstein_error_bound"] == bound
+
+    def test_discrete_predictor_caps_the_order(self):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 10, 500) / 9.0
+        y = np.sin(2 * np.pi * x) + 0.3 * rng.standard_normal(500)
+        with pytest.warns(RuntimeWarning, match="10 distinct predictor values"):
+            result = fit(x, y)
+        assert result.max_order == 9
+        assert 1 <= result.selected_order <= 9
+        assert np.all(np.isfinite(result.posterior))
+
+    def test_continuous_predictor_raises_no_cap_warning(self):
+        x, y = self.smooth_data(n=100, seed=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(x, y)
+        assert result.max_order == 21
 
     def test_losses_identical_to_the_reference_loop(self):
         x, y = self.smooth_data(n=300, seed=8)

@@ -8,7 +8,6 @@ construction, and the sample-size-driven cap on the maximum order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,12 +195,6 @@ def build_design(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size < 1:
         raise ValueError("empty predictor array")
-    if order > x.size - 2:
-        warnings.warn(
-            f"order {order} exceeds n - 2 = {x.size - 2}; the design is likely "
-            f"rank-deficient for fitting",
-            RuntimeWarning,
-        )
     u = _check_unit(scale.to_unit(x))
     if basis == BERNSTEIN:
         values = _bernstein_rows(u, order)

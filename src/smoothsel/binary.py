@@ -17,6 +17,13 @@ weight instead of being sampled one at a time.  Antithetic pairs halve the
 variance and every (order, outer-node) pair draws from its own pre-split
 seed stream, so estimates are identical under any execution order.
 
+The orthant-mass kernel, log Phi of every latent coordinate summed per
+draw, is nearly all of the work.  Its elementwise ufuncs release the GIL,
+so blocks of outer nodes run on a thread pool sized to the cores this
+process may run on.  The one matrix product that feeds them, and with it
+every BLAS call, stays in the calling thread; each block reads its rows of
+that product, so results are identical at any core count.
+
 One damped-Newton helper finds every mode on this path: it maximizes
 sum_i log Phi(s_i (c + (A theta)_i)) - theta' P theta / 2 and reports its
 iterations and convergence.  The base level has A = 1, P = 0; the joint
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import lgamma, pi
 from typing import NamedTuple, Optional
@@ -42,10 +50,18 @@ from scipy.special import log_ndtr, logsumexp, ndtri
 from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design
 from .gprior import _gl_unit, _normalized_posterior
 from .model_space import model_prior
-from .selector import FitResult, _bernstein_view, _mpm_order, _order_bound
+from .selector import (
+    FitResult,
+    _available_cores,
+    _bernstein_view,
+    _mpm_order,
+    _order_bound,
+)
 from .transform import build_transform
 
 _OUTER_NODES = 64
+# Outer nodes per block of the orthant-mass kernel; blocks run in parallel.
+_NODE_BLOCK = 8
 _WINDOW_SD = 8.0
 _T_DOF = 7.0
 _LAMBDA_BOX = 8.0
@@ -286,8 +302,32 @@ def _sample_nodes(
     u_all = np.concatenate([u_plus, u_minus], axis=1).reshape(n_nodes * draws, dim)
 
     lam_rep = np.repeat(lam_nodes, draws)
-    t_mat = s[None, :] * (lam_rep[:, None] + u_all @ f.T)
-    log_mass = log_ndtr(t_mat).sum(axis=1)
+    # The one BLAS product runs here, in the calling thread: BLAS threads
+    # beside the workers would oversubscribe the cores, and every block
+    # reading a row slice of one product keeps the results independent of
+    # the block split.
+    latent = u_all @ f.T
+    log_mass = np.empty(n_nodes * draws)
+
+    def block_mass(rows: slice) -> None:
+        # Elementwise ufuncs that release the GIL, in place on the block's rows.
+        t = latent[rows]
+        t += lam_rep[rows, None]
+        t *= s
+        log_ndtr(t, out=t)
+        log_mass[rows] = t.sum(axis=1)
+
+    blocks = [
+        slice(j * draws, min(j + _NODE_BLOCK, n_nodes) * draws)
+        for j in range(0, n_nodes, _NODE_BLOCK)
+    ]
+    workers = min(_available_cores(), len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block_mass, blocks))
+    else:
+        for rows in blocks:
+            block_mass(rows)
     log_h = (
         log_mass
         - 0.5 * (u_all**2).sum(axis=1)
@@ -501,6 +541,12 @@ def fit_binary(
         ordinates, and the diagnostics carry the per-order Monte Carlo
         standard errors and Newton iteration counts and convergence flags,
         per order and for the refit, and the Bernstein error bound.
+
+    Notes
+    -----
+    The Monte Carlo orthant-mass kernel of each order runs on the cores
+    this process may run on, with BLAS kept in the calling thread; the
+    results are identical at any core count.
     """
     if config is None:
         config = BinaryFitConfig()

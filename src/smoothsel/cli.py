@@ -95,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--methods", default=default_methods,
                        help="comma list from {bayes, cv}")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: SMOOTHSEL_THREADS, then all cores)")
+                       help="worker threads (default: SMOOTHSEL_THREADS, then the cores "
+                            "this process may run on)")
         p.add_argument("--no-timing", action="store_true",
                        help="omit timing columns for byte-reproducible output")
         p.add_argument("--omega-prior", choices=_OMEGA_NAMES, default="intrinsic")

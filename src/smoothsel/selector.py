@@ -15,6 +15,7 @@ rounding of that transform.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -174,6 +175,13 @@ def _order_bound(x: np.ndarray, cap: int) -> int:
         )
         bound = distinct - 1
     return bound
+
+
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _shrunken_legendre(

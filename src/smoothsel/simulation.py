@@ -12,7 +12,6 @@ survives an interrupted run.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from scipy.integrate import quad
 
 from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
-from .selector import FitConfig, FitResult, _shrunken_legendre, fit
+from .selector import FitConfig, FitResult, _available_cores, _shrunken_legendre, fit
 
 POLY5 = "poly5"
 PWLINEAR = "pwlinear"
@@ -353,7 +352,7 @@ def run_grid(
     if config is None:
         config = FitConfig()
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = _available_cores()
     tasks = [(sc, rep) for sc in scenarios for rep in range(sc.reps)]
 
     def worker(task):

@@ -122,10 +122,6 @@ class TestBuildDesign:
         with pytest.raises(ValueError):
             build_design(np.array([0.5]), UNIT, 2, "fourier")
 
-    def test_order_beyond_sample_warns(self):
-        with pytest.warns(RuntimeWarning):
-            build_design(np.array([0.1, 0.5, 0.9]), UNIT, 2, BERNSTEIN)
-
     def test_matches_single_row_ops(self):
         rng = np.random.default_rng(7)
         u = rng.uniform(0, 1, 9)

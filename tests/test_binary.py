@@ -1,5 +1,6 @@
 """Probit latent-variable path: orthant estimator, binary BFs, fit_binary."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import multivariate_normal
 
+import smoothsel.binary as binary_module
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
     _LAMBDA_BOX,
@@ -16,6 +18,7 @@ from smoothsel.binary import (
     OrthantSpec,
     _newton_mode,
     _orthonormal_columns,
+    _sample_nodes,
     binary_log_bf,
     fit_binary,
     orthant_probability,
@@ -326,6 +329,74 @@ class TestFitBinary:
                 np.linspace(0, 1, 10),
                 BinaryFitConfig(mc_draws=1000),
             )
+
+
+class TestParallelSampler:
+    """The orthant-mass kernel runs in node blocks on a thread pool."""
+
+    @staticmethod
+    def fit_fields(result):
+        diag = result.diagnostics
+        return (result.selected_order, diag["log_bf"], diag["mc_std_error"],
+                result.posterior, result.lambda_hat, result.eta_hat)
+
+    @pytest.mark.parametrize("cores", [None, 3])
+    def test_results_identical_at_any_core_count(self, monkeypatch, cores):
+        # None keeps this machine's core count; 3 forces a pool on any machine.
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0, 1, 80)
+        y = (rng.uniform(size=80) < ndtr(2.0 * x - 1.0)).astype(int)
+        design = build_design(x, UNIT, 4, "legendre")
+        cfg = BinaryFitConfig(mc_draws=1000, seed=2)
+
+        def run():
+            est = binary_log_bf(y, design, 3, n_draws=2000, seed=5)
+            return (est.log_bf, est.mc_std_error), self.fit_fields(fit_binary(x, y, cfg))
+
+        if cores is not None:
+            monkeypatch.setattr(binary_module, "_available_cores", lambda: cores)
+        est, fields = run()
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        serial_est, serial_fields = run()
+        assert est == serial_est
+        for got, want in zip(fields, serial_fields):
+            np.testing.assert_array_equal(got, want)
+
+    def test_partial_last_block_matches_one_block(self, monkeypatch):
+        # 13 nodes: one full block of 8 and a last block of 5, against the
+        # whole latent matrix as one block in the calling thread.
+        n, k, n_nodes = 40, 2, 13
+        loadings = _orthonormal_columns(legendre_design(n, k, seed=6), k) * 4.0
+        spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
+        lam_nodes = np.linspace(-1.0, 0.5, n_nodes)
+        means = np.outer(lam_nodes, [0.3, -0.2])
+        args = (spec, loadings, lam_nodes, means, 0.8 * np.eye(k), 2 * np.log(0.8), 6, 4, k)
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        assert n_nodes % binary_module._NODE_BLOCK != 0
+        blocked = _sample_nodes(*args)
+        monkeypatch.setattr(binary_module, "_NODE_BLOCK", n_nodes)
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        whole = _sample_nodes(*args)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_node_orthant_probability_unchanged(self):
+        # One node and 2000 antithetic pairs: the values of the unblocked
+        # kernel, to the last few digits libm may move.
+        f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
+        spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
+        lp, se = orthant_probability(spec, -0.3, f, n_draws=4000, seed=3)
+        assert lp == pytest.approx(-2.9933927336627253, rel=1e-12)
+        assert se == pytest.approx(0.004919413722407679, rel=1e-9)
+
+    def test_no_worker_outlives_the_fit(self, monkeypatch):
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        rng = np.random.default_rng(42)
+        x = rng.uniform(0, 1, 40)
+        y = (rng.uniform(size=40) < ndtr(2.0 * x - 1.0)).astype(int)
+        before = threading.active_count()
+        fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
+        assert threading.active_count() == before
 
 
 def scipy_mode(signs, a, penalty, offset=0.0):

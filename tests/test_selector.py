@@ -1,6 +1,7 @@
 """Median probability model, averaged predictor, loss rule and fit()."""
 
 import json
+import os
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import ModelPosterior
 from smoothsel.selector import (
     FitConfig,
+    _available_cores,
     _bernstein_view,
     _losses,
     fit,
@@ -46,6 +48,16 @@ def exact_q(order):
                 for i in range(min(j, k) + 1)
             )
     return q
+
+
+def test_available_cores_counts_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _available_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _available_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _available_cores() == 1
 
 
 class TestBernsteinErrorBound:
@@ -309,6 +321,15 @@ class TestFit:
         grid = np.linspace(x.min(), x.max(), 301)
         leg = build_design(grid, result.scale, result.selected_order, "legendre")
         np.testing.assert_array_equal(result.predict(grid), leg.values @ result.lambda_hat)
+
+    def test_predict_at_one_point_is_silent(self):
+        # Evaluating at fewer points than coefficients is not a fit.
+        x, y = self.smooth_data(n=200, seed=5)
+        result = fit(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = result.predict([0.5])
+        assert value.shape == (1,) and np.isfinite(value[0])
 
     def test_bernstein_error_bound_reported(self):
         x, y = self.smooth_data(n=200, seed=6)

@@ -1,5 +1,6 @@
 """Probit latent-variable path: orthant estimator, binary BFs, fit_binary."""
 
+import json
 import threading
 import warnings
 
@@ -13,6 +14,7 @@ import smoothsel.binary as binary_module
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
     _LAMBDA_BOX,
+    _SCREEN_NATS,
     _SEPARATION_LIMIT,
     BinaryFitConfig,
     OrthantSpec,
@@ -24,7 +26,9 @@ from smoothsel.binary import (
     orthant_probability,
     sigma_k,
 )
-from smoothsel.selector import _bernstein_view
+from smoothsel.gprior import _normalized_posterior
+from smoothsel.model_space import model_prior
+from smoothsel.selector import _bernstein_view, _mpm_order
 from smoothsel.transform import build_transform
 
 UNIT = PredictorScale(0.0, 1.0)
@@ -253,7 +257,8 @@ class TestFitBinary:
         grid = np.linspace(x.min(), x.max(), 33)
         probs = result.predict(grid)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
-        for key in ("log_bf", "mc_std_error", "inclusion", "mc_draws", "seed"):
+        for key in ("log_bf", "mc_std_error", "inclusion", "mc_draws", "seed",
+                    "laplace_log_bf", "screened", "screened_mass", "stages"):
             assert key in result.diagnostics, key
         diag = result.diagnostics
         assert len(diag["newton_iterations"]) == result.max_order + 1
@@ -265,6 +270,10 @@ class TestFitBinary:
         payload = result.to_dict()
         assert payload["omega_prior"] is None
         assert payload["link"] == "probit"
+        screened = payload["diagnostics"]["screened"]
+        assert len(screened) == result.max_order + 1 and screened[0] is False
+        assert len(payload["diagnostics"]["laplace_log_bf"]) == result.max_order + 1
+        json.dumps(payload)
 
     def test_deterministic_given_config(self):
         rng = np.random.default_rng(31)
@@ -397,6 +406,84 @@ class TestParallelSampler:
         before = threading.active_count()
         fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
         assert threading.active_count() == before
+
+
+def criterion_8_sample(rep, flip=False):
+    """One criterion-8 replicate: n = 300, y ~ Bernoulli(Phi(2x - 1))."""
+    rng = np.random.default_rng([500, rep])
+    x = rng.uniform(0.0, 1.0, 300)
+    y = (rng.uniform(size=300) < ndtr(2.0 * x - 1.0)).astype(float)
+    return x, 1.0 - y if flip else y
+
+
+@pytest.fixture(scope="module")
+def screened_fits():
+    """Two criterion-8 fits, each with every order's Monte Carlo estimate."""
+    out = []
+    for rep in (0, 1):
+        x, y = criterion_8_sample(rep)
+        result = fit_binary(x, y, BinaryFitConfig(seed=rep, scale=UNIT))
+        design = build_design(x, UNIT, result.max_order, "legendre")
+        full = [binary_log_bf(y, design, k, seed=rep) for k in range(result.max_order + 1)]
+        out.append((rep, result, full))
+    return out
+
+
+class TestLaplaceScreening:
+    """Monte Carlo runs only for orders within the margin of the best."""
+
+    def test_laplace_agrees_with_monte_carlo_near_the_best(self, screened_fits):
+        for _, result, full in screened_fits:
+            mc = np.array([est.log_bf for est in full])
+            log_post = mc + model_prior(result.max_order).log_probs
+            near = log_post >= log_post.max() - 10.0
+            laplace = result.diagnostics["laplace_log_bf"]
+            assert np.max(np.abs(laplace[near] - mc[near])) <= 0.15
+
+    def test_screened_orders_lie_beyond_the_margin(self, screened_fits):
+        for _, result, _ in screened_fits:
+            diag = result.diagnostics
+            screened = np.array(diag["screened"])
+            prior = model_prior(result.max_order).log_probs
+            laplace_post = diag["laplace_log_bf"] + prior
+            final_post = diag["log_bf"] + prior
+            assert 0 < screened.sum() < result.max_order
+            assert not screened[0]
+            assert np.all(laplace_post[screened] < laplace_post.max() - _SCREEN_NATS)
+            assert np.all(laplace_post[screened] < final_post.max() - _SCREEN_NATS)
+            np.testing.assert_array_equal(diag["log_bf"][screened], diag["laplace_log_bf"][screened])
+            assert np.all(diag["mc_std_error"][screened] == 0.0)
+
+    def test_kept_orders_are_exactly_binary_log_bf(self, screened_fits):
+        for _, result, full in screened_fits:
+            diag = result.diagnostics
+            for k in np.flatnonzero(~np.array(diag["screened"])):
+                assert diag["log_bf"][k] == full[k].log_bf
+                assert diag["mc_std_error"][k] == full[k].mc_std_error
+                assert diag["newton_iterations"][k] == full[k].newton_iterations
+
+    def test_posterior_matches_full_monte_carlo_oracle(self, screened_fits):
+        for _, result, full in screened_fits:
+            log_post = np.array([est.log_bf for est in full])
+            log_post += model_prior(result.max_order).log_probs
+            oracle, inclusion = _normalized_posterior(log_post, np.ones(log_post.size, dtype=bool))
+            mass = result.diagnostics["screened_mass"]
+            assert 0.0 <= mass <= result.max_order * np.exp(-_SCREEN_NATS)
+            assert np.max(np.abs(result.posterior - oracle)) <= mass + 1e-12
+            assert result.selected_order == _mpm_order(inclusion)
+
+    def test_screened_mask_invariant_to_label_flip(self, screened_fits):
+        rep, result, _ = screened_fits[0]
+        x, y_flip = criterion_8_sample(rep, flip=True)
+        flipped = fit_binary(x, y_flip, BinaryFitConfig(seed=rep, scale=UNIT))
+        assert flipped.diagnostics["screened"] == result.diagnostics["screened"]
+
+    def test_stages_sum_to_the_fit_time(self, screened_fits):
+        for _, result, _ in screened_fits:
+            stages = result.diagnostics["stages"]
+            assert list(stages) == ["design", "laplace", "monte_carlo", "refit"]
+            assert all(value >= 0.0 for value in stages.values())
+            assert sum(stages.values()) == pytest.approx(result.timing_seconds, abs=1e-9)
 
 
 def scipy_mode(signs, a, penalty, offset=0.0):

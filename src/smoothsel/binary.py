@@ -54,6 +54,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, pi
 from typing import NamedTuple, Optional
 
@@ -61,7 +62,7 @@ import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri
 
 from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design
-from .gprior import _gl_unit, _normalized_posterior
+from .gprior import _normalized_posterior
 from .model_space import model_prior
 from .selector import (
     FitResult,
@@ -196,6 +197,12 @@ def _mills(t: np.ndarray) -> np.ndarray:
     # phi(t) / Phi(t), stable far into the left tail via log differencing.
     log_pdf = -0.5 * t * t - 0.5 * np.log(2.0 * pi)
     return np.exp(log_pdf - log_ndtr(t))
+
+
+@lru_cache(maxsize=None)
+def _gl_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(m)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _gl_window(center: float, half_width: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,26 +5,28 @@ distributions: an arcsine (Beta(1/2, 1/2)) law on (0, 1), a Gamma law on
 (0, inf), or a Gamma law whose rate is itself Gamma distributed (the last
 marginalizes in closed form to a scaled beta-prime density).  One QR
 factorization of the centered design, with the scaled response appended
-as a last column, gives the r2 of every nested order.  Each Bayes
-factor against the intercept-only base model is a one-dimensional integral
-evaluated in log space by adaptive Gauss-Legendre panel refinement on a
-transformed variable that absorbs the prior's endpoint singularities.
-Posterior shrinkage factors reuse the converged node set, so every model's
-shrinkage is a ratio of two quadratures over identical nodes.
+as a last column, gives the r2 of every nested order, and log(1 - r2) from
+its residual sums of squares without cancellation.  Each Bayes factor
+against the intercept-only base model is a one-dimensional integral over
+v = log omega (logit omega for the arcsine law), where every integrand is
+smooth with exponential tails.  One fixed rule per order evaluates it in
+log space: a sinh-spaced trapezoid rule centred on the integrand's peak
+and scaled by its curvature there, with no refinement loop.  Posterior
+shrinkage factors reuse the same nodes, so every model's shrinkage is a
+ratio of two quadratures over identical nodes.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import lapack_lite
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from .basis import LEGENDRE, DesignMatrix
 from .model_space import ModelPrior
@@ -40,17 +42,22 @@ _SATURATION_TOL = 1e-12
 # ============================================================
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) without overflow; several times faster than np.logaddexp."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 @dataclass(frozen=True)
 class OmegaPrior:
     """Mixing distribution for the inverse g-prior scale omega.
 
     Construct through the factory classmethods; ``kind`` selects the family
     and the remaining fields hold its hyperparameters (unused ones stay
-    None).  The quadrature works on a transformed variable t in (0, 1):
-    ``omega_of_t`` maps nodes to the omega scale and ``log_weight_t`` is
-    the log prior density times the Jacobian, chosen per family so that the
-    transformed weight is bounded (endpoint singularities are absorbed by
-    the substitution, not fought by the quadrature).
+    None).  The quadrature works on a variable v on the real line:
+    ``log_omega`` maps it to the omega scale and ``log_weight`` is the log
+    prior density times the Jacobian, so the endpoint singularities of the
+    densities are absorbed by the substitution, not fought by the
+    quadrature.
     """
 
     kind: str
@@ -149,50 +156,33 @@ class OmegaPrior:
                 )
         return out
 
-    # ---- transformed-variable machinery for the quadrature ----
+    # ---- the quadrature variable ----
 
-    def omega_of_t(self, t: np.ndarray) -> np.ndarray:
-        """Map the quadrature variable t in [0, 1] to the omega scale."""
-        t = np.asarray(t, dtype=float)
+    def log_omega(self, v: np.ndarray) -> np.ndarray:
+        """Log of omega at the quadrature variable v.
+
+        v is log omega for the Gamma-type laws and logit omega for the
+        intrinsic law, so every Bayes factor integrand is smooth on the
+        whole real line with exponentially decaying tails.
+        """
+        v = np.asarray(v, dtype=float)
         if self.kind == INTRINSIC:
-            return np.sin(0.5 * np.pi * t) ** 2
-        # v = t / (1 - t) then omega = v^(2/nu); the power kills the
-        # omega^(nu/2 - 1) factor of both Gamma-type densities.
-        with np.errstate(divide="ignore"):
-            v = t / (1.0 - t)
-        return v ** (2.0 / self.nu)
+            return -_softplus(-v)
+        return v
 
-    def log_weight_t(self, t: np.ndarray) -> np.ndarray:
-        """Log of (prior density times Jacobian) in the t variable.
+    def log_weight(self, v: np.ndarray) -> np.ndarray:
+        """Log of (prior density times Jacobian) in the variable v.
 
-        Integrating exp(log_weight_t) over (0, 1) gives exactly 1; the
+        Integrating exp(log_weight) over the real line gives exactly 1; the
         Bayes factor integrand adds the model kernel on top of this.
         """
-        t = np.asarray(t, dtype=float)
+        v = np.asarray(v, dtype=float)
         if self.kind == INTRINSIC:
-            # Arcsine substitution flattens Beta(1/2, 1/2) exactly.
-            return np.zeros_like(t)
-        p = 2.0 / self.nu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = t / (1.0 - t)
-            if self.kind == ZELLNER_SIOW:
-                h = self.nu / 2.0
-                const = h * np.log(self.rho / 2.0) - lgamma(h) + np.log(p)
-                out = const - 0.5 * self.rho * v**p - 2.0 * np.log1p(-t)
-            else:
-                hn, ha = self.nu / 2.0, self.a / 2.0
-                const = (
-                    lgamma(hn + ha)
-                    - lgamma(hn)
-                    - lgamma(ha)
-                    + ha * np.log(self.b)
-                    + np.log(p)
-                )
-                out = const - (hn + ha) * np.log(v**p + self.b) - 2.0 * np.log1p(-t)
-        # At t = 1 the decay term beats the Jacobian blowup; the float
-        # arithmetic produces inf - inf there, so patch the true limit.
-        out = np.where(t >= 1.0, -np.inf, out)
-        return out
+            # log(omega (1 - omega)) / 2 - log(pi) with omega = 1 / (1 + e^-v),
+            # written in |v| so that neither endpoint loses digits.
+            a = np.abs(v)
+            return -0.5 * a - np.log1p(np.exp(-a)) - np.log(np.pi)
+        return self.log_pdf(np.exp(v)) + v
 
 
 # ============================================================
@@ -217,6 +207,11 @@ class ModelFitStats:
 
     @property
     def saturated(self) -> bool:
+        """r2 within 1e-12 of one, where a float r2 keeps few digits of 1 - r2.
+
+        Bayes factors need r2 < 1 only; :func:`fit` reads 1 - r2 from the
+        factorization's exact residual instead of from r2.
+        """
         return self.r2 >= 1.0 - _SATURATION_TOL
 
 
@@ -232,6 +227,7 @@ class _Factorization(NamedTuple):
     col_means: np.ndarray  # (N,) means of the degree-1..N columns
     r: np.ndarray  # (N, N) upper triangular factor of the centered columns
     z: np.ndarray  # (N,) projections of (y - ybar) / scale
+    rho2: float  # squared residual of (y - ybar) / scale after all N columns
     ssy: float  # ||(y - ybar) / scale||^2
     scale: float  # max |y - ybar|, or 1 for a constant response
 
@@ -241,6 +237,20 @@ class _Factorization(NamedTuple):
         if self.ssy > 0.0:
             r2[1:] = np.minimum(np.cumsum(self.z**2) / self.ssy, 1.0)
         return r2
+
+    def log1m_r2(self) -> np.ndarray:
+        """(N + 1,) log(1 - r2) of orders 0..N, without cancellation.
+
+        The order-k residual sum of squares is sum_{j>k} z_j^2 + rho2, a sum
+        of the factorization's own squares; it is -inf only for a residual
+        that is exactly zero.
+        """
+        out = np.zeros(self.z.size + 1)
+        if self.ssy > 0.0:
+            rss = np.cumsum(np.append(self.rho2, self.z[::-1] ** 2))[::-1]
+            with np.errstate(divide="ignore"):
+                out[1:] = np.minimum(np.log(rss[1:] / self.ssy), 0.0)
+        return out
 
     def coefficients(self, k: int) -> np.ndarray:
         """Least-squares coefficients of degrees 1..k of the order-k model."""
@@ -308,6 +318,7 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
         col_means=col_means,
         r=r[:n_cols, :n_cols],
         z=r[:n_cols, n_cols],
+        rho2=float(r[n_cols, n_cols] ** 2),
         ssy=ssy,
         scale=scale,
     )
@@ -350,94 +361,64 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
 # Quadrature engine
 # ============================================================
 
-
-@lru_cache(maxsize=None)
-def _gl_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(m)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def _panel_grid(panels: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    base_t, base_w = _gl_unit(m)
-    h = 1.0 / panels
-    starts = np.arange(panels) * h
-    t = (starts[:, None] + base_t[None, :] * h).ravel()
-    log_w = np.broadcast_to(np.log(base_w * h), (panels, m)).ravel()
-    return t, log_w
-
-
-@dataclass
-class _QuadResult:
-    log_integrals: np.ndarray  # (K,)
-    t: np.ndarray  # (M,)
-    log_w: np.ndarray  # (M,)
-    log_f: np.ndarray  # (M, K)
-    rounds: int
-
-
-def _adaptive_log_integrals(
-    log_f, n_out: int, rel_tol: float = 1e-8, nodes_per_panel: int = 16, max_rounds: int = 11
-) -> _QuadResult:
-    """Integrate exp(log_f) over (0, 1) for a batch of integrands.
-
-    ``log_f(t)`` maps an (M,) node array to an (M, n_out) matrix of log
-    integrand values.  Gauss-Legendre panels over a uniform partition are
-    bisected (panel count doubled) until every integrand's log integral
-    moves by at most rel_tol between consecutive refinements.
-    """
-    prev = None
-    history = []
-    panels = 4
-    for round_idx in range(max_rounds):
-        t, log_w = _panel_grid(panels, nodes_per_panel)
-        vals = np.asarray(log_f(t))
-        if vals.shape != (t.size, n_out):
-            raise ValueError("integrand returned a wrongly shaped value array")
-        cur = logsumexp(vals + log_w[:, None], axis=0)
-        history.append((panels, cur.copy()))
-        if prev is not None:
-            both_zero = np.isneginf(cur) & np.isneginf(prev)
-            close = np.abs(cur - prev) <= rel_tol
-            if np.all(close | both_zero):
-                return _QuadResult(
-                    log_integrals=cur, t=t, log_w=log_w, log_f=vals, rounds=round_idx + 1
-                )
-        prev = cur
-        panels *= 2
-    trace = "; ".join(
-        f"panels={p}: logI[0]={v[0]:.12g}" for p, v in history
-    )
-    raise RuntimeError(
-        f"adaptive quadrature did not reach relative tolerance {rel_tol} "
-        f"after {max_rounds} refinement rounds (trace: {trace})"
-    )
+# The peak search: a coarse ladder in v (shifted down with log(1 - r2),
+# which the kernel peak follows), then Newton steps on central differences.
+# Each step is clipped to half the ladder spacing: the peak of a unimodal
+# integrand lies within one spacing of the ladder's best point.
+_LADDER = np.arange(-40.0, 12.5, 4.0)
+_NEWTON_STEPS = 3
+_DIFF_STEP = 1e-4
+_MIN_SCALE, _MAX_SCALE = 1e-3, 2.0
+# The fixed rule: v = centre + scale * sinh(z) on a uniform z grid, with
+# trapezoid weights.  The sinh map spreads 139 nodes over +-125 scales.
+_Z_STEP = 0.08
+_Z = _Z_STEP * np.arange(-69, 70)
 
 
 def _log_kernel(
-    omega: np.ndarray, n: int, q0: int, qk: np.ndarray, r2: np.ndarray
+    log_g: np.ndarray, n: int, q0: int, qk: np.ndarray, log1m_r2: np.ndarray
 ) -> np.ndarray:
-    """Complete per-omega log Bayes factor, stable for omega in (0, inf].
+    """Complete per-omega log Bayes factor, from log g and log(1 - r2).
 
-    omega has shape (M, 1) and qk, r2 shape (1, K); broadcasting yields an
-    (M, K) matrix.  With g = n / (omega (qk + 1)) the conditional Bayes
-    factor is (1 + g)^((n-qk)/2) / (1 + g (1 - r2))^((n-q0)/2); both logs
-    are log1p of nonnegative quantities, so the only care needed is the
-    omega -> 0 corner where the true limit is -inf for qk > q0.
+    With g = n / (omega (qk + 1)) the conditional Bayes factor is
+    (1 + g)^((n-qk)/2) / (1 + g (1 - r2))^((n-q0)/2).  Both logs are
+    softplus terms of log g, so no omega or r2 overflows or cancels.
     """
-    s = qk + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = n / (omega * s)
-        out = 0.5 * (n - qk) * np.log1p(g) - 0.5 * (n - q0) * np.log1p(g * (1.0 - r2))
-    return np.where(np.isnan(out), -np.inf, out)
+    return 0.5 * (n - qk) * _softplus(log_g) - 0.5 * (n - q0) * _softplus(log_g + log1m_r2)
+
+
+def _peak(log_f, log1m_r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and scale in v of each integrand's peak.
+
+    ``log_f`` maps an (M, K) array of v to the (M, K) log integrands.  The
+    scale is 1 / sqrt(-curvature) at the centre, clipped to
+    [_MIN_SCALE, _MAX_SCALE]; a centre without negative curvature gets the
+    widest scale.
+    """
+    ladder = _LADDER[:, None] + log1m_r2
+    best = np.argmax(log_f(ladder), axis=0)
+    v = ladder[best, np.arange(log1m_r2.size)]
+    offsets = np.array([-_DIFF_STEP, 0.0, _DIFF_STEP])[:, None]
+    for step in range(_NEWTON_STEPS + 1):
+        lo, mid, hi = log_f(v + offsets)
+        slope = (hi - lo) / (2.0 * _DIFF_STEP)
+        curv = (hi - 2.0 * mid + lo) / _DIFF_STEP**2
+        if step == _NEWTON_STEPS:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            move = np.where(curv < 0.0, -slope / curv, 2.0 * np.sign(slope))
+        v = v + np.clip(move, -2.0, 2.0)
+    with np.errstate(divide="ignore"):
+        scale = 1.0 / np.sqrt(np.maximum(-curv, 0.0))
+    return v, np.clip(scale, _MIN_SCALE, _MAX_SCALE)
 
 
 def _batched_bf(
     n: int,
     q0: int,
     qk: np.ndarray,
-    r2: np.ndarray,
+    log1m_r2: np.ndarray,
     omega_prior: OmegaPrior,
-    rel_tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log Bayes factors and shrinkage factors for a batch of models.
 
@@ -445,24 +426,24 @@ def _batched_bf(
     the posterior expectation computed over the same nodes as the Bayes
     factor integral (a ratio of two quadratures sharing nodes).
     """
-    qk = np.asarray(qk, dtype=float)[None, :]
-    r2 = np.asarray(r2, dtype=float)[None, :]
-    k_count = qk.shape[1]
+    qk = np.asarray(qk, dtype=float)
+    log1m_r2 = np.asarray(log1m_r2, dtype=float)
+    log_n_s = np.log(n / (qk + 1.0))
 
-    def log_f(t: np.ndarray) -> np.ndarray:
-        omega = omega_prior.omega_of_t(t)[:, None]
-        lw = omega_prior.log_weight_t(t)[:, None]
-        return _log_kernel(omega, n, q0, qk, r2) + lw
+    def log_f(v: np.ndarray) -> np.ndarray:
+        log_g = log_n_s - omega_prior.log_omega(v)
+        return _log_kernel(log_g, n, q0, qk, log1m_r2) + omega_prior.log_weight(v)
 
-    quad = _adaptive_log_integrals(log_f, k_count, rel_tol=rel_tol)
-    log_bf = quad.log_integrals
-
-    omega_nodes = omega_prior.omega_of_t(quad.t)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_factor = -np.log1p(omega_nodes * (qk + 1.0) / n)
-    log_num = logsumexp(quad.log_f + log_factor + quad.log_w[:, None], axis=0)
-    xi = np.exp(log_num - quad.log_integrals)
-    return log_bf, np.minimum(xi, 1.0)
+    centre, scale = _peak(log_f, log1m_r2)
+    v = centre + scale * np.sinh(_Z)[:, None]
+    log_terms = log_f(v) + np.log(_Z_STEP * scale * np.cosh(_Z)[:, None])
+    top = log_terms.max(axis=0)
+    terms = np.exp(log_terms - top)
+    total = terms.sum(axis=0)
+    # n / (n + omega (qk + 1)) = g / (1 + g).
+    factor = expit(log_n_s - omega_prior.log_omega(v))
+    xi = (terms * factor).sum(axis=0) / total
+    return top + np.log(total), np.minimum(xi, 1.0)
 
 
 # ============================================================
@@ -470,19 +451,23 @@ def _batched_bf(
 # ============================================================
 
 
-def log_bayes_factor(
-    stats: ModelFitStats, omega_prior: OmegaPrior, rel_tol: float = 1e-8
-) -> float:
+def _check_not_saturated(stats: ModelFitStats) -> None:
+    if stats.r2 >= 1.0:
+        raise ValueError(
+            f"saturated fit (r2={stats.r2}); lower the maximum order so the "
+            f"model does not interpolate the data"
+        )
+
+
+def log_bayes_factor(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     """Log Bayes factor of the order-k model against the intercept base.
 
     Parameters
     ----------
     stats : ModelFitStats
-        Sufficient statistics from :func:`fit_stats`.
+        Sufficient statistics from :func:`fit_stats`; r2 must be below 1.
     omega_prior : OmegaPrior
         Mixing distribution over the inverse scale.
-    rel_tol : float
-        Relative tolerance of the adaptive quadrature.
 
     Returns
     -------
@@ -490,32 +475,20 @@ def log_bayes_factor(
         Exactly 0.0 when qk == q0; otherwise the log of the mixture Bayes
         factor.
     """
-    if stats.saturated:
-        raise ValueError(
-            f"saturated fit (r2={stats.r2}); lower the maximum order so the "
-            f"model does not interpolate the data"
-        )
+    _check_not_saturated(stats)
     if stats.qk == stats.q0:
         return 0.0
     log_bf, _ = _batched_bf(
-        stats.n, stats.q0, [stats.qk], [stats.r2], omega_prior, rel_tol=rel_tol
+        stats.n, stats.q0, [stats.qk], [np.log1p(-stats.r2)], omega_prior
     )
     return float(log_bf[0])
 
 
-def shrinkage(
-    stats: ModelFitStats, omega_prior: OmegaPrior, rel_tol: float = 1e-8
-) -> float:
+def shrinkage(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     """Posterior expectation of n / (n + omega (qk + 1)) for one model."""
-    if stats.saturated:
-        raise ValueError(
-            f"saturated fit (r2={stats.r2}); lower the maximum order so the "
-            f"model does not interpolate the data"
-        )
+    _check_not_saturated(stats)
     r2 = 0.0 if stats.qk == stats.q0 else stats.r2
-    _, xi = _batched_bf(
-        stats.n, stats.q0, [stats.qk], [r2], omega_prior, rel_tol=rel_tol
-    )
+    _, xi = _batched_bf(stats.n, stats.q0, [stats.qk], [np.log1p(-r2)], omega_prior)
     return float(xi[0])
 
 
@@ -563,7 +536,6 @@ def model_posterior(
     design: DesignMatrix,
     prior: ModelPrior,
     omega_prior: OmegaPrior,
-    rel_tol: float = 1e-8,
 ) -> ModelPosterior:
     """Posterior over all nested orders given one Legendre design.
 
@@ -577,8 +549,6 @@ def model_posterior(
         Prior over orders from :func:`model_prior`.
     omega_prior : OmegaPrior
         Mixing distribution over the inverse g-prior scale.
-    rel_tol : float
-        Relative tolerance passed to the quadrature.
 
     Returns
     -------
@@ -598,8 +568,8 @@ def model_posterior(
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
-    r2 = _factorize(y, design.values[:, 1:]).r2()
-    return _posterior_from_r2(n, r2, prior, omega_prior, rel_tol)
+    factor = _factorize(y, design.values[:, 1:])
+    return _posterior_from_r2(n, factor.r2(), factor.log1m_r2(), prior, omega_prior)
 
 
 def _normalized_posterior(
@@ -622,11 +592,15 @@ def _normalized_posterior(
 def _posterior_from_r2(
     n: int,
     r2: np.ndarray,
+    log1m_r2: np.ndarray,
     prior: ModelPrior,
     omega_prior: OmegaPrior,
-    rel_tol: float,
 ) -> ModelPosterior:
-    """Posterior over orders 0..N from the nested r2 of a size-n sample."""
+    """Posterior over orders 0..N from the nested fits of a size-n sample.
+
+    ``r2`` is reported; the Bayes factors read ``log1m_r2`` = log(1 - r2),
+    which keeps its digits where r2 rounds to 1.
+    """
     n_max = r2.size - 1
     q0 = 1
     ks = np.arange(n_max + 1)
@@ -641,8 +615,8 @@ def _posterior_from_r2(
         )
     if not keep[0]:
         raise ValueError(f"sample size n={n} too small for even the base model")
-    if np.any(r2[keep] >= 1.0 - _SATURATION_TOL):
-        worst = int(ks[keep][np.argmax(r2[keep])])
+    if np.any(np.isneginf(log1m_r2[keep])):
+        worst = int(ks[keep][np.argmin(log1m_r2[keep])])
         raise ValueError(
             f"saturated fit at order {worst} (r2={r2[worst]}); lower the "
             f"maximum order so the model does not interpolate the data"
@@ -653,11 +627,7 @@ def _posterior_from_r2(
     kept = ks[keep]
     # The base model rides along with a unit kernel so its shrinkage
     # factor comes from the same node set as everyone else's.
-    batch_r2 = r2[kept].copy()
-    batch_r2[kept == 0] = 0.0
-    bf_vals, xi_vals = _batched_bf(
-        n, q0, qk[kept], batch_r2, omega_prior, rel_tol=rel_tol
-    )
+    bf_vals, xi_vals = _batched_bf(n, q0, qk[kept], log1m_r2[kept], omega_prior)
     log_bf[kept] = bf_vals
     xi[kept] = xi_vals
     log_bf[0] = 0.0

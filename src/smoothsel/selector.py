@@ -37,6 +37,9 @@ RULE_LOSS = "loss"
 class FitConfig:
     """Knobs of the selection pipeline; defaults reproduce the headline method.
 
+    The Bayes-factor quadrature has no knob: it is one fixed peak-centred
+    rule per order (see :mod:`smoothsel.gprior`).
+
     Attributes
     ----------
     omega_prior : OmegaPrior
@@ -50,8 +53,6 @@ class FitConfig:
         Upper bound on the maximum order; the working bound is
         min(floor(n^(2/3)), cap, n - 3, d - 1) for d distinct predictor
         values, with a RuntimeWarning when d - 1 is the binding term.
-    rel_tol : float
-        Relative tolerance of the Bayes factor quadrature.
     scale : PredictorScale, optional
         Explicit predictor interval; defaults to the data range.
     """
@@ -61,7 +62,6 @@ class FitConfig:
     prior_b: float = 1.0
     rule: str = RULE_MPM
     cap: int = 60
-    rel_tol: float = 1e-8
     scale: Optional[PredictorScale] = None
 
     def __post_init__(self) -> None:
@@ -328,7 +328,8 @@ def fit(
     Parameters
     ----------
     x : np.ndarray
-        Predictor values, length n >= 4, not all equal.
+        Predictor values, length n >= 5; they may all be equal only when
+        ``config.scale`` gives the predictor interval.
     y : np.ndarray
         Continuous response, same length.
     config : FitConfig, optional
@@ -361,7 +362,9 @@ def fit(
     prior = model_prior(n_max, config.prior_a, config.prior_b)
     columns = design.values[:, 1:]
     factor = _factorize(y, columns)
-    mp = _posterior_from_r2(n, factor.r2(), prior, config.omega_prior, config.rel_tol)
+    mp = _posterior_from_r2(
+        n, factor.r2(), factor.log1m_r2(), prior, config.omega_prior
+    )
 
     lambda_full = factor.coefficients(n_max)
     dj = np.einsum("ij,ij->j", columns, columns)

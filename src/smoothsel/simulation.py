@@ -59,7 +59,9 @@ class Scenario:
     ``mean_fn`` is one of ``"poly5"``, ``"pwlinear"``, or ``"custom"``;
     the named signals fix their own domains, a custom scenario must supply
     both ``mean`` and ``domain``.  ``snr`` may be ``inf`` for noiseless
-    data.
+    data: the Bayes factors read log(1 - r2) from the exact residual of the
+    factorization, so a fit is rejected only where that residual is exactly
+    zero.  ``n`` must be at least 5, the smallest sample :func:`fit` takes.
     """
 
     mean_fn: str
@@ -85,8 +87,8 @@ class Scenario:
         a, b = self.domain
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got ({a}, {b})")
-        if self.n < 4:
-            raise ValueError(f"n must be >= 4, got {self.n}")
+        if self.n < 5:
+            raise ValueError(f"n must be >= 5, got {self.n}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.snr > 0:
@@ -132,7 +134,9 @@ def sigma_from_snr(
     domain : (a, b)
         Interval over which the mean absolute signal is taken.
     snr : float
-        Signal-to-noise ratio, > 0; ``inf`` gives sigma = 0.
+        Signal-to-noise ratio, > 0; ``inf`` gives sigma = 0, noiseless data,
+        which :func:`fit` supports through the exact residual of its
+        factorization.
 
     Returns
     -------

@@ -138,6 +138,22 @@ class TestSimulateAndCompare:
         rows = first.read_text().strip().splitlines()
         assert len(rows) == 4
 
+    def test_noiseless_simulation_finds_the_polynomial(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--function", "poly5",
+                "--n", "200",
+                "--snr", "inf",
+                "--reps", "3",
+                "--seed", "0",
+                "--no-timing",
+                "--output", str(tmp_path / "inf.csv"),
+            ]
+        )
+        assert code == 0
+        assert "modal order_bayes: 5" in capsys.readouterr().out
+
     def test_simulate_defaults_to_bayes_only(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(

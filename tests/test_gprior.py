@@ -1,9 +1,9 @@
 """Bayes factors, shrinkage and model posteriors under omega mixtures.
 
-The load-bearing checks compare the adaptive quadrature against the
-scipy.integrate routes in oracles.py, which share no code with the
-library's engine (different substitutions, different densities,
-different integrator).
+The load-bearing checks compare the library's fixed peak-centred rule
+against the scipy.integrate routes in oracles.py, and against an mpmath
+route for r2 near 1; neither shares code with the library's engine
+(different substitutions, different densities, different integrator).
 """
 
 import warnings
@@ -15,6 +15,7 @@ from scipy.special import logsumexp
 
 from oracles import (
     hyper_g_log_marginal_numeric,
+    mpmath_log_bf_and_shrinkage,
     oracle_log_bf,
     oracle_shrinkage,
 )
@@ -98,33 +99,33 @@ class TestOmegaPrior:
         assert mine == pytest.approx(hyper_g_log_marginal_numeric(100.0), abs=1e-5)
 
     def test_transformed_weight_normalizes(self):
-        # Midpoint rule on the quadrature's own t-scale: the weight must
+        # Midpoint rule on the quadrature's own v-scale: the weight must
         # integrate to one, so the substitution Jacobians are consistent
         # with the densities for every family.
-        t = (np.arange(200_000) + 0.5) / 200_000
+        v = -100.0 + (np.arange(200_000) + 0.5) * 1e-3
         for name in KINDS:
             prior = OmegaPrior.from_name(name)
-            total = float(np.exp(prior.log_weight_t(t)).mean())
+            total = float(np.exp(prior.log_weight(v)).sum() * 1e-3)
             assert total == pytest.approx(1.0, abs=1e-6), name
 
     def test_transformed_weight_reproduces_means(self):
-        t = (np.arange(200_000) + 0.5) / 200_000
+        v = -100.0 + (np.arange(200_000) + 0.5) * 1e-3
         cases = [
             (OmegaPrior.intrinsic(), 0.5),
             (OmegaPrior.zellner_siow(), 1.0),
             (OmegaPrior.zellner_siow(nu=3.0, rho=2.0), 1.5),
         ]
         for prior, mean in cases:
-            est = float((prior.omega_of_t(t) * np.exp(prior.log_weight_t(t))).mean())
+            est = float(np.exp(prior.log_omega(v) + prior.log_weight(v)).sum() * 1e-3)
             assert est == pytest.approx(mean, abs=5e-4)
 
-    def test_omega_of_t_monotone_and_in_support(self):
-        t = np.linspace(1e-6, 1.0 - 1e-6, 5000)
+    def test_log_omega_monotone_and_in_support(self):
+        v = np.linspace(-30.0, 30.0, 5000)
         for name in KINDS:
-            w = OmegaPrior.from_name(name).omega_of_t(t)
+            w = np.exp(OmegaPrior.from_name(name).log_omega(v))
             assert np.all(np.diff(w) > 0)
             assert np.all(w > 0)
-        w = OmegaPrior.intrinsic().omega_of_t(t)
+        w = np.exp(OmegaPrior.intrinsic().log_omega(v))
         assert np.all(w < 1.0)
 
 
@@ -217,6 +218,23 @@ class TestLogBayesFactor:
             ref = oracle_log_bf(st.n, st.q0, st.qk, st.r2, name)
             assert np.isfinite(mine)
             assert abs(mine - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_matches_mpmath_oracle_for_r2_near_one(self, name):
+        # r2 of 1 - 1e-4, 1 - 1e-8 and 1 - 1e-12: the kernel peak narrows to
+        # a width of 1/sqrt(n) in log omega and moves with log(1 - r2).  For
+        # r2 >= 0.5 the float 1 - r2 is exact, so the oracle sees the same
+        # residual share as the library.
+        prior = OmegaPrior.from_name(name)
+        for gap in (1e-4, 1e-8, 1e-12):
+            r2 = 1.0 - gap
+            for n in (50, 2000, 20000):
+                for qk in (2, 21):
+                    st = ModelFitStats(n=n, q0=1, qk=qk, r2=r2)
+                    ref_bf, ref_xi = mpmath_log_bf_and_shrinkage(n, 1, qk, 1.0 - r2, name)
+                    mine = log_bayes_factor(st, prior)
+                    assert abs(mine - ref_bf) <= 1e-6 * max(1.0, abs(ref_bf)), (n, qk, gap)
+                    assert shrinkage(st, prior) == pytest.approx(ref_xi, rel=1e-6)
 
     def test_prior_families_differ_on_fixed_stats(self):
         st = ModelFitStats(n=100, q0=1, qk=3, r2=0.5)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from smoothsel.basis import PredictorScale, build_design
-from smoothsel.gprior import ModelPosterior
+from smoothsel.gprior import ModelPosterior, OmegaPrior
 from smoothsel.selector import (
     FitConfig,
     _available_cores,
@@ -23,6 +23,7 @@ from smoothsel.selector import (
     median_probability_order,
     predictive_loss,
 )
+from smoothsel.simulation import Scenario, generate, mean_poly5
 from smoothsel.transform import build_transform, condition_diagnostic
 
 UNIT = PredictorScale(0.0, 1.0)
@@ -422,6 +423,30 @@ class TestFit:
         assert a.selected_order == b.selected_order
         np.testing.assert_array_equal(a.posterior, b.posterior)
         np.testing.assert_array_equal(a.eta_hat, b.eta_hat)
+
+    @pytest.mark.parametrize("n", [200, 500, 5000])
+    def test_high_snr_fits_select_the_signal(self, n):
+        # Near 1 - r2 ~ 1e-16 the Bayes factor integrands peak in a window of
+        # width 1/sqrt(n) far out in log omega; every such fit must succeed.
+        for fn in ("poly5", "pwlinear"):
+            for snr in (1e3, 1e4, 1e6, 1e8):
+                x, y = generate(Scenario(fn, n, snr, 1, 0), 0)
+                for name in ("intrinsic", "zellner-siow", "hyper-g"):
+                    for rule in ("mpm", "loss"):
+                        config = FitConfig(omega_prior=OmegaPrior.from_name(name), rule=rule)
+                        order = fit(x, y, config).selected_order
+                        if fn == "poly5" and snr >= 1e4:
+                            assert order == 5, (snr, name, rule)
+
+    def test_near_noiseless_data_select_the_signal(self):
+        # r2 = 1 - 1.3e-13 at order 34: a fit that does not interpolate the
+        # data, so its Bayes factor exists and the degree-5 signal is found.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, 200)
+        y = mean_poly5(x) + 1e-6 * rng.standard_normal(200)
+        for name in ("intrinsic", "zellner-siow", "hyper-g"):
+            config = FitConfig(omega_prior=OmegaPrior.from_name(name))
+            assert fit(x, y, config).selected_order == 5
 
     def test_max_order_respects_cap_and_sample_size(self):
         x, y = self.smooth_data(n=40, seed=5)

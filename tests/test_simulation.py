@@ -62,6 +62,8 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario("poly5", 3, 2.0, 1, 0)
         with pytest.raises(ValueError):
+            Scenario("poly5", 4, 2.0, 1, 0)
+        with pytest.raises(ValueError):
             Scenario("poly5", 100, 0.0, 1, 0)
         with pytest.raises(ValueError):
             Scenario("poly5", 100, 2.0, 0, 0)

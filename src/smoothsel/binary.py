@@ -24,18 +24,18 @@ process may run on.  The one matrix product that feeds them, and with it
 every BLAS call, stays in the calling thread; each block reads its rows of
 that product, so results are identical at any core count.
 
-Monte Carlo is spent only where the posterior has mass.  ``fit_binary``
-first scores every order by its Laplace log Bayes factor, read off the
-joint mode and curvature the sampler is centered on (Tierney & Kadane
-1986).  Orders whose Laplace log posterior lies within ``_SCREEN_NATS``
-(30 nats) of the best get the Monte Carlo estimate of ``binary_log_bf``;
-so does any order that comes within the margin of the best Monte Carlo
-log posterior.  The rest keep their Laplace value and are marked
-``screened``: each carries at most e^-30 of the posterior, and the fit
-reports their total as ``screened_mass``.  On criterion-8 data (n = 300)
-the Laplace value was within 0.1 nats of the Monte Carlo one for every
-order within 10 nats of the best, and at most 1.6 nats off at the highest
-orders, far inside the margin.
+``fit_binary`` makes one pass per order.  One QR of the design's degree
+columns gives every order's F, its first k columns spanning degrees 1..k.
+Each order's joint mode and curvature give its Laplace log Bayes factor
+(Tierney & Kadane 1986), and Monte Carlo runs only where the posterior has
+mass: for orders whose Laplace log posterior lies within ``_SCREEN_NATS``
+(30 nats) of the best or of the best Monte Carlo one, centered on that
+same mode, with the one base integral as the denominator.  The rest keep
+their Laplace value and are marked ``screened``; each carries at most
+e^-30 of the posterior, and the fit reports their total as
+``screened_mass``.  On criterion-8 data (n = 300) the Laplace value was
+within 0.1 nats of the Monte Carlo one for every order within 10 nats of
+the best, and at most 1.6 nats off at the highest orders.
 
 One damped-Newton helper finds every mode on this path: it maximizes
 sum_i log Phi(s_i (c + (A theta)_i)) - theta' P theta / 2 and reports its
@@ -166,31 +166,38 @@ def sigma_k(design: DesignMatrix, k: int, n: int | None = None) -> np.ndarray:
         Symmetric positive definite (n, n) matrix with eigenvalues 1
         (multiplicity n - k) and 1 + 2n/(k+1) (multiplicity k).
     """
-    if design.basis != LEGENDRE:
-        raise ValueError("sigma_k requires a Legendre design")
-    if k < 1 or k > design.order:
-        raise ValueError(f"k={k} outside [1, {design.order}]")
-    if n is None:
-        n = design.n
     basis = _orthonormal_columns(design, k)
-    c = 2.0 * n / (k + 1.0)
+    c = 2.0 * (design.n if n is None else n) / (k + 1.0)
     out = c * (basis @ basis.T)
     out[np.diag_indices_from(out)] += 1.0
     return out
 
 
 def _orthonormal_columns(design: DesignMatrix, k: int) -> np.ndarray:
-    cols = design.values[:, 1 : k + 1]
+    """The first k columns of Q in one QR of all the degree columns.
+
+    Only the first k pivots are checked for rank, as in a QR of k columns.
+    """
+    if design.basis != LEGENDRE:
+        raise ValueError("the probit model requires a Legendre design")
+    if k < 1 or k > design.order:
+        raise ValueError(f"k={k} outside [1, {design.order}]")
+    cols = design.values[:, 1:]
     q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diag(r))
-    norms = np.sqrt((cols**2).sum(axis=0))
+    diag = np.abs(np.diag(r)[:k])
+    norms = np.sqrt((cols[:, :k] ** 2).sum(axis=0))
     bad = np.nonzero(diag <= 1e-12 * np.maximum(norms, 1.0))[0]
     if bad.size:
         raise ValueError(
             f"rank-deficient design: degree-{bad[0] + 1} column is numerically "
             f"collinear with the lower-degree columns"
         )
-    return q
+    return q[:, :k]
+
+
+def _loadings(basis: np.ndarray, k: int) -> np.ndarray:
+    """Loadings F = sqrt(2n/(k+1)) Q_k of the order-k model, Sigma_k = I + F F'."""
+    return np.sqrt(2.0 * basis.shape[0] / (k + 1.0)) * basis[:, :k]
 
 
 def _mills(t: np.ndarray) -> np.ndarray:
@@ -383,6 +390,12 @@ def _sample_nodes(
     return log_prob, log_var
 
 
+def _proposal(curvature: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scale L^-T of the t proposal for curvature L L', and log det L^-T."""
+    chol_g = np.linalg.cholesky(curvature)
+    return np.linalg.inv(chol_g).T, -float(np.sum(np.log(np.diag(chol_g))))
+
+
 def orthant_probability(
     spec: OrthantSpec,
     lambda0: float,
@@ -419,20 +432,9 @@ def orthant_probability(
         raise ValueError("loadings row count must match the orthant dimension")
     k = loadings.shape[1]
     mode = _newton_mode(spec.signs, loadings, np.eye(k), np.zeros(k), offset=lambda0)
-    chol_g = np.linalg.cholesky(mode.curvature)
-    chol_cov = np.linalg.inv(chol_g).T
-    log_det_chol = -float(np.sum(np.log(np.diag(chol_g))))
-    half = max(2, n_draws // 2)
     log_prob, log_var = _sample_nodes(
-        spec,
-        loadings,
-        np.asarray([lambda0]),
-        mode.theta[None, :],
-        chol_cov,
-        log_det_chol,
-        half,
-        seed,
-        k=k,
+        spec, loadings, np.asarray([lambda0]), mode.theta[None, :],
+        *_proposal(mode.curvature), max(2, n_draws // 2), seed, k,
     )
     se_log = float(np.exp(0.5 * log_var[0] - log_prob[0]))
     return float(log_prob[0]), se_log
@@ -453,29 +455,22 @@ def _log_base_integral(spec: OrthantSpec) -> float:
     return float(logsumexp(vals + np.log(weights)))
 
 
-def _joint_mode(
-    spec: OrthantSpec, design: DesignMatrix, k: int
-) -> tuple[np.ndarray, _NewtonMode]:
-    """Factor loadings F of order k and the joint (level, factor) mode.
+def _joint_mode(spec: OrthantSpec, loadings: np.ndarray) -> _NewtonMode:
+    """The joint (level, factor) mode of the order-k orthant integral.
 
-    The mode maximizes sum_i log Phi(s_i (lambda_0 + (F u)_i)) - |u|^2 / 2,
-    the log integrand of the order-k orthant integral up to the normal
-    constant of u.
+    It maximizes sum_i log Phi(s_i (lambda_0 + (F u)_i)) - |u|^2 / 2, the
+    log integrand up to the normal constant of u, for the (n, k) loadings F.
     """
-    n = spec.n
-    basis = _orthonormal_columns(design, k)
-    loadings = np.sqrt(2.0 * n / (k + 1.0)) * basis
-
+    k = loadings.shape[1]
     penalty = np.eye(k + 1)
     penalty[0, 0] = 0.0
-    mode = _newton_mode(
+    return _newton_mode(
         spec.signs,
-        np.column_stack([np.ones(n), loadings]),
+        np.column_stack([np.ones(spec.n), loadings]),
         penalty,
         np.concatenate([_level_start(spec.signs), np.zeros(k)]),
         level_box=_LAMBDA_BOX,
     )
-    return loadings, mode
 
 
 def _laplace_log_num(mode: _NewtonMode) -> float:
@@ -487,6 +482,35 @@ def _laplace_log_num(mode: _NewtonMode) -> float:
     """
     log_det = np.linalg.slogdet(mode.curvature)[1]
     return float(mode.value + 0.5 * np.log(2.0 * pi) - 0.5 * log_det)
+
+
+def _mc_log_num(
+    spec: OrthantSpec, loadings: np.ndarray, mode: _NewtonMode, n_draws: int, seed: int
+) -> tuple[float, float, int]:
+    """Monte Carlo log orthant integral of one order, centered on its joint mode.
+
+    Returns it, the delta-method standard error of the log, and the draws
+    spent: whole antithetic pairs per outer node, at least ``n_draws``.
+    """
+    lam_hat, u_hat = float(mode.theta[0]), mode.theta[1:]
+    g_mat = mode.curvature[1:, 1:]
+    h_cross = mode.curvature[0, 1:]
+    # Schur complement of the factor block gives the marginal lambda0
+    # curvature; -sol is the linear response d u_hat / d lambda0.
+    sol = np.linalg.solve(g_mat, h_cross)
+    sd = _level_sd(float(mode.curvature[0, 0] - h_cross @ sol))
+    nodes, weights = _gl_window(lam_hat, _WINDOW_SD * sd)
+    means = u_hat[None, :] - np.outer(nodes - lam_hat, sol)
+    pairs = max(4, int(np.ceil(n_draws / (2 * _OUTER_NODES))))
+    log_prob, log_var = _sample_nodes(
+        spec, loadings, nodes, means, *_proposal(g_mat), pairs, seed, loadings.shape[1]
+    )
+
+    log_wts = np.log(weights)
+    log_num = float(logsumexp(log_wts + log_prob))
+    log_var_num = float(logsumexp(2.0 * log_wts + log_var))
+    se_log = float(np.exp(0.5 * log_var_num - log_num))
+    return log_num, se_log, 2 * pairs * _OUTER_NODES
 
 
 def binary_log_bf(
@@ -505,7 +529,7 @@ def binary_log_bf(
     design : DesignMatrix
         Legendre design of order >= k.
     k : int
-        Candidate order; k = 0 short-circuits to log BF 0 exactly.
+        Candidate order, >= 0; k = 0 short-circuits to log BF 0 exactly.
     n_draws : int
         Total Monte Carlo budget, >= 1000, spread over the outer nodes.
     seed : int
@@ -528,41 +552,17 @@ def binary_log_bf(
             "all-0 or all-1 response: the marginal likelihoods diverge under "
             "the flat level prior"
         )
+    if k < 0:
+        raise ValueError(f"k={k} outside [0, {design.order}]")
     if k == 0:
         return BinaryBfEstimate(log_bf=0.0, mc_std_error=0.0, n_draws=0, seed=seed)
 
-    loadings, mode = _joint_mode(spec, design, k)
-    lam_hat, u_hat = float(mode.theta[0]), mode.theta[1:]
-    g_mat = mode.curvature[1:, 1:]
-    h_cross = mode.curvature[0, 1:]
-    # Schur complement of the factor block gives the marginal lambda0
-    # curvature; -sol is the linear response d u_hat / d lambda0.
-    sol = np.linalg.solve(g_mat, h_cross)
-    sd = _level_sd(float(mode.curvature[0, 0] - h_cross @ sol))
-    nodes, weights = _gl_window(lam_hat, _WINDOW_SD * sd)
-    means = u_hat[None, :] - np.outer(nodes - lam_hat, sol)
-    chol_g = np.linalg.cholesky(g_mat)
-    chol_cov = np.linalg.inv(chol_g).T
-    log_det_chol = -float(np.sum(np.log(np.diag(chol_g))))
-
-    pairs = max(4, int(np.ceil(n_draws / (2 * _OUTER_NODES))))
-    log_prob, log_var = _sample_nodes(
-        spec, loadings, nodes, means, chol_cov, log_det_chol, pairs, seed, k
-    )
-
-    log_wts = np.log(weights)
-    log_num = float(logsumexp(log_wts + log_prob))
-    log_var_num = float(logsumexp(2.0 * log_wts + log_var))
-    se_log = float(np.exp(0.5 * log_var_num - log_num))
-
-    log_den = _log_base_integral(spec)
+    loadings = _loadings(_orthonormal_columns(design, k), k)
+    mode = _joint_mode(spec, loadings)
+    log_num, se_log, draws = _mc_log_num(spec, loadings, mode, n_draws, seed)
     return BinaryBfEstimate(
-        log_bf=log_num - log_den,
-        mc_std_error=se_log,
-        n_draws=2 * pairs * _OUTER_NODES,
-        seed=seed,
-        newton_iterations=mode.iterations,
-        newton_converged=mode.converged,
+        log_bf=log_num - _log_base_integral(spec), mc_std_error=se_log, n_draws=draws,
+        seed=seed, newton_iterations=mode.iterations, newton_converged=mode.converged,
     )
 
 
@@ -591,7 +591,7 @@ def fit_binary(
         Carlo, or Laplace where screened), ``laplace_log_bf``,
         ``screened`` (never order 0), ``mc_std_error`` (0.0 where
         screened) and the Newton iteration counts and convergence flags
-        (of the Laplace pass where screened).  Per fit: ``screened_mass``,
+        of each order's joint mode.  Per fit: ``screened_mass``,
         the Laplace posterior mass of the screened orders, at most
         N e^-30; the refit's Newton count and flag; the Bernstein error
         bound; and ``stages``, the seconds spent in ``design``,
@@ -603,9 +603,10 @@ def fit_binary(
     Every order is scored by its Laplace log Bayes factor first; Monte
     Carlo runs only for orders whose Laplace log posterior is within 30
     nats of the best, plus any screened order within 30 nats of the best
-    Monte Carlo log posterior.  Each kept order's ``log_bf`` and
-    ``mc_std_error`` are exactly those of ``binary_log_bf``.  The Monte
-    Carlo orthant-mass kernel of each order runs on the cores this process
+    Monte Carlo log posterior.  A kept order's ``log_bf``, ``mc_std_error``
+    and Newton count equal those of ``binary_log_bf`` on the fit's own
+    design; the fit runs its QR and each joint mode once.  The Monte Carlo
+    orthant-mass kernel of each order runs on the cores this process
     may run on, with BLAS kept in the calling thread; the results are
     identical at any core count.
     """
@@ -631,14 +632,13 @@ def fit_binary(
     marks.append(time.perf_counter())
 
     log_den = _log_base_integral(spec)
-    modes = [_joint_mode(spec, design, k)[1] for k in range(1, n_max + 1)]
+    basis = _orthonormal_columns(design, n_max) if n_max else None
+    modes = [_joint_mode(spec, _loadings(basis, k)) for k in range(1, n_max + 1)]
     laplace_log_bf = np.array([0.0] + [_laplace_log_num(m) - log_den for m in modes])
     marks.append(time.perf_counter())
 
     log_bf = laplace_log_bf.copy()
     mc_se = np.zeros(n_max + 1)
-    iterations = [0] + [m.iterations for m in modes]
-    converged = [True] + [m.converged for m in modes]
     screened = np.ones(n_max + 1, dtype=bool)
     screened[0] = False
     laplace_post = laplace_log_bf + prior.log_probs
@@ -650,11 +650,10 @@ def fit_binary(
         if todo.size == 0:
             break
         for k in todo:
-            est = binary_log_bf(
-                y_arr, design, int(k), n_draws=config.mc_draws, seed=config.seed
+            log_num, mc_se[k], _ = _mc_log_num(
+                spec, _loadings(basis, k), modes[k - 1], config.mc_draws, config.seed
             )
-            log_bf[k], mc_se[k] = est.log_bf, est.mc_std_error
-            iterations[k], converged[k] = est.newton_iterations, est.newton_converged
+            log_bf[k] = log_num - log_den
             screened[k] = False
         best = float(np.max(log_bf + prior.log_probs))
     posterior, inclusion = _normalized_posterior(
@@ -709,8 +708,8 @@ def fit_binary(
             "laplace_log_bf": laplace_log_bf,
             "screened": screened.tolist(),
             "screened_mass": float(posterior[screened].sum()),
-            "newton_iterations": iterations,
-            "newton_converged": converged,
+            "newton_iterations": [0] + [m.iterations for m in modes],
+            "newton_converged": [True] + [m.converged for m in modes],
             "refit_newton_iterations": refit.iterations,
             "refit_newton_converged": refit.converged,
             "bernstein_error_bound": eta_bound,

@@ -341,6 +341,10 @@ def fit(
     FitResult
         Selected order, posterior over orders, shrunken coefficients in
         both bases, diagnostics, and the wall-clock time of the selection.
+        ``diagnostics["stages"]`` splits that time into the seconds spent
+        in ``design``, ``factorization`` (the QR and the r2 path),
+        ``quadrature`` (the Bayes factors), ``selection`` (with the
+        losses) and ``coefficients``; they sum to ``timing_seconds``.
     """
     if config is None:
         config = FitConfig()
@@ -353,18 +357,21 @@ def fit(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
 
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n = x.size
     n_max = _order_bound(x, config.cap)
-
     design = build_design(x, scale, n_max, LEGENDRE)
     prior = model_prior(n_max, config.prior_a, config.prior_b)
+    marks.append(time.perf_counter())
+
     columns = design.values[:, 1:]
     factor = _factorize(y, columns)
-    mp = _posterior_from_r2(
-        n, factor.r2(), factor.log1m_r2(), prior, config.omega_prior
-    )
+    r2, log1m_r2 = factor.r2(), factor.log1m_r2()
+    marks.append(time.perf_counter())
+
+    mp = _posterior_from_r2(n, r2, log1m_r2, prior, config.omega_prior)
+    marks.append(time.perf_counter())
 
     lambda_full = factor.coefficients(n_max)
     dj = np.einsum("ij,ij->j", columns, columns)
@@ -384,11 +391,13 @@ def fit(
         loss_equivalence = float(
             np.ldexp(loss_equivalence_diagnostic(mp, dj / n, unit_full), 2 * exp2)
         )
+    marks.append(time.perf_counter())
 
     beta, xi = factor.coefficients(selected), float(mp.shrinkage[selected])
     lambda_hat = _shrunken_legendre(beta, xi, factor.col_means, factor.ybar)
     eta_hat, eta_bound = _bernstein_view(lambda_hat, build_transform(selected))
-    elapsed = time.perf_counter() - start
+    marks.append(time.perf_counter())
+    stages = ("design", "factorization", "quadrature", "selection", "coefficients")
 
     diagnostics = {
         "inclusion": mp.inclusion,
@@ -402,6 +411,7 @@ def fit(
         "col_means": factor.col_means,
         "ybar": factor.ybar,
         "bernstein_error_bound": eta_bound,
+        "stages": dict(zip(stages, np.diff(marks).tolist())),
     }
     return FitResult(
         selected_order=selected,
@@ -413,7 +423,7 @@ def fit(
         scale=scale,
         rule=config.rule,
         omega_prior=config.omega_prior,
-        timing_seconds=elapsed,
+        timing_seconds=marks[-1] - marks[0],
         link="identity",
         diagnostics=diagnostics,
     )

@@ -149,17 +149,17 @@ def test_criterion_2_quadrature_oracle():
             kernel = _conditional_log_bf(omega, n, 1, qk, r2) + log_weight
             shift = kernel.max()
             reference = shift + np.log(np.exp(kernel - shift).mean())
-            adaptive = log_bayes_factor(
+            fixed_rule = log_bayes_factor(
                 ModelFitStats(n=n, q0=1, qk=qk, r2=r2), prior
             )
-            worst = max(worst, abs(adaptive - reference) / max(1.0, abs(reference)))
+            worst = max(worst, abs(fixed_rule - reference) / max(1.0, abs(reference)))
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-6 and elapsed < 30.0
     _verdict(
         2,
         ok,
-        f"adaptive vs 1e6-node grid, worst relative gap {worst:.2e} over "
+        f"fixed rule vs 1e6-node grid, worst relative gap {worst:.2e} over "
         f"150 configurations, {elapsed:.1f}s",
     )
 

@@ -220,6 +220,18 @@ class TestBinaryLogBf:
         with pytest.raises(ValueError):
             binary_log_bf(np.full(12, 0.3), design, 1, seed=0)
 
+    def test_rejects_orders_outside_the_design_and_bernstein_designs(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, 60)
+        y = (rng.uniform(size=60) < ndtr(2.0 * x - 1.0)).astype(int)
+        legendre = build_design(x, UNIT, 3, "legendre")
+        for k in (5, -1):
+            with pytest.raises(ValueError, match=rf"k={k} outside \["):
+                binary_log_bf(y, legendre, k, n_draws=1000, seed=0)
+        bernstein = build_design(x, UNIT, 3, "bernstein")
+        with pytest.raises(ValueError, match="requires a Legendre design"):
+            binary_log_bf(y, bernstein, 2, n_draws=1000, seed=0)
+
 
 class TestFitBinary:
     def test_fair_coin_prefers_base_model(self):
@@ -309,6 +321,16 @@ class TestFitBinary:
         assert result.max_order == 4
         assert 1 <= result.selected_order <= 4
 
+    def test_one_predictor_value_leaves_only_the_base_model(self):
+        # One distinct value caps the order at 0: there is no degree column
+        # to factorize, and the fit is the base level.
+        y = np.arange(20) % 2
+        with pytest.warns(RuntimeWarning, match="1 distinct predictor values"):
+            result = fit_binary(np.full(20, 0.5), y, BinaryFitConfig(mc_draws=1000, scale=UNIT))
+        assert (result.max_order, result.selected_order) == (0, 0)
+        np.testing.assert_array_equal(result.posterior, [1.0])
+        np.testing.assert_allclose(result.lambda_hat, [0.0], atol=1e-12)
+
     def test_bernstein_view_of_the_refit(self):
         rng = np.random.default_rng(22)
         x = rng.uniform(0, 1, 60)
@@ -320,6 +342,26 @@ class TestFitBinary:
         grid = np.linspace(x.min(), x.max(), 201)
         leg = build_design(grid, result.scale, result.selected_order, "legendre")
         np.testing.assert_array_equal(result.predict(grid), ndtr(leg.values @ result.lambda_hat))
+
+    def test_one_factorization_and_one_mode_per_order(self, monkeypatch):
+        # One QR serves every order, and the Monte Carlo reuses the Laplace
+        # pass's joint modes: the only Newton solves are the base level,
+        # one joint mode per order and the refit.
+        calls = {"qr": 0, "newton": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(binary_module, "_newton_mode", counted("newton", _newton_mode))
+        x, y = criterion_8_sample(0)
+        result = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
+        assert not all(result.diagnostics["screened"][1:])
+        assert result.diagnostics["refit_newton_converged"] is True
+        assert calls == {"qr": 1, "newton": result.max_order + 2}
 
     def test_constant_response_rejected_with_warning(self):
         x = np.linspace(0, 1, 30)

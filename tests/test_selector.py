@@ -486,6 +486,17 @@ class TestFit:
         assert result.timing_seconds > 0.0
         assert result.link == "identity"
 
+    def test_stages_sum_to_the_fit_time(self):
+        x, y = self.smooth_data(n=150, seed=77)
+        result = fit(x, y)
+        stages = result.diagnostics["stages"]
+        assert list(stages) == [
+            "design", "factorization", "quadrature", "selection", "coefficients"
+        ]
+        assert all(value >= 0.0 for value in stages.values())
+        assert sum(stages.values()) == pytest.approx(result.timing_seconds, abs=1e-9)
+        assert json.loads(result.to_json())["diagnostics"]["stages"] == stages
+
     def test_serialization_round_trip(self):
         x, y = self.smooth_data(n=120, seed=21)
         result = fit(x, y)

@@ -6,12 +6,16 @@ distributions: an arcsine (Beta(1/2, 1/2)) law on (0, 1), a Gamma law on
 marginalizes in closed form to a scaled beta-prime density).  One QR
 factorization of the centered design, with the scaled response appended
 as a last column, gives the r2 of every nested order, and log(1 - r2) from
-its residual sums of squares without cancellation.  Each Bayes factor
+its residual sums of squares without cancellation.  Above ``_CHUNK`` rows
+the QR runs over cache-sized blocks of rows, and the blocks' triangular
+factors are stacked and reduced to one (a tall-skinny QR); up to
+``_CHUNK`` rows it is a single plain QR.  Each Bayes factor
 against the intercept-only base model is a one-dimensional integral over
 v = log omega (logit omega for the arcsine law), where every integrand is
 smooth with exponential tails.  One fixed rule per order evaluates it in
 log space: a sinh-spaced trapezoid rule centred on the integrand's peak
-and scaled by its curvature there, with no refinement loop.  Posterior
+and scaled by its curvature there, with no refinement loop; the centre
+and scale of every order's rule are reported.  Posterior
 shrinkage factors reuse the same nodes, so every model's shrinkage is a
 ratio of two quadratures over identical nodes.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import lgamma
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -34,8 +38,6 @@ from .model_space import ModelPrior
 INTRINSIC = "intrinsic"
 ZELLNER_SIOW = "zellner-siow"
 HYPER_G = "hyper-g"
-
-_SATURATION_TOL = 1e-12
 
 # ============================================================
 # Omega priors
@@ -205,22 +207,16 @@ class ModelFitStats:
         if self.qk < self.q0:
             raise ValueError(f"qk={self.qk} must be >= q0={self.q0}")
 
-    @property
-    def saturated(self) -> bool:
-        """r2 within 1e-12 of one, where a float r2 keeps few digits of 1 - r2.
-
-        Bayes factors need r2 < 1 only; :func:`fit` reads 1 - r2 from the
-        factorization's exact residual instead of from r2.
-        """
-        return self.r2 >= 1.0 - _SATURATION_TOL
-
 
 class _Factorization(NamedTuple):
     """One QR of the centered design with the scaled response appended.
 
     R is prefix-nested: its leading k x k block and z[:k] are the
     triangular factor and the projected response of the order-k model, so
-    one factorization serves every nested r2 and coefficient vector.
+    one factorization serves every nested r2 and coefficient vector.  R is
+    unique up to the signs of its rows, which cancel in every quantity
+    read from it; with more than ``_CHUNK`` rows it comes from the block
+    reduction of :func:`_blocked_r`.
     """
 
     ybar: float
@@ -257,15 +253,24 @@ class _Factorization(NamedTuple):
         return solve_triangular(self.r[:k, :k], self.z[:k]) * self.scale
 
 
+# Rows per block of the tall-skinny QR.  A 2048 x 63 block is about 1 MB and
+# stays in a core's 2 MB L2 cache while dgeqrf's column-by-column panel
+# steps sweep it; a 20000-row design (10 MB) does not.  On a 2-core Xeon VM
+# with BLAS at one thread, blocks of 1024 to 4096 rows factorize n = 20000
+# about equally fast; 8192 rows or one block take 10-35% longer.
+_CHUNK = 2048
+
+
 def _householder_r(buf: np.ndarray) -> np.ndarray:
     """R of the QR of ``buf.T``, with Householder vectors left in ``buf``.
 
-    Calls numpy's own LAPACK dgeqrf, in place.  ``scipy.linalg.qr`` runs on
-    scipy's separate OpenBLAS, whose worker threads then compete for the
-    cores with numpy's, still spinning after the caller's last numpy BLAS
-    call: with two threads per pool on two cores a 3 ms fit at n = 500 took
-    up to 110 ms after a least-squares solve.  ``np.linalg.qr`` shares
-    numpy's pool but copies the n-row buffer twice.
+    Calls numpy's own LAPACK dgeqrf, in place, on one block of rows (see
+    :func:`_blocked_r`).  ``scipy.linalg.qr`` runs on scipy's separate
+    OpenBLAS, whose worker threads then compete for the cores with numpy's,
+    still spinning after the caller's last numpy BLAS call: with two threads
+    per pool on two cores a 3 ms fit at n = 500 took up to 110 ms after a
+    least-squares solve.  ``np.linalg.qr`` shares numpy's pool but copies
+    the buffer twice.
     """
     n_cols, n = buf.shape
     tau = np.empty(min(n, n_cols))
@@ -279,12 +284,50 @@ def _householder_r(buf: np.ndarray) -> np.ndarray:
     return np.triu(buf.T[: min(n, n_cols)])
 
 
+def _blocked_r(
+    n_rows: int, width: int, fill: Callable[[slice, np.ndarray], None]
+) -> np.ndarray:
+    """R of an n_rows x width matrix, reduced by blocks of rows (tall-skinny QR).
+
+    ``fill(rows, out)`` writes the rows ``rows`` (a slice) of the matrix
+    into ``out``, one row of ``out`` per matrix row, so the whole matrix is
+    never held at once.
+    The rows are cut into the fewest near-equal blocks of at most
+    max(_CHUNK, 4 width) rows; each block is reduced to its R in one reused
+    buffer, and the stacked R's are reduced the same way until one R
+    remains (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput.
+    34:A206).  Every block of a split holds at least 2 width rows, so each
+    level at least halves the rows.  With n_rows <= _CHUNK there is one
+    block: one buffer and one :func:`_householder_r` call, as a plain QR.
+    """
+    n_blocks = -(-n_rows // max(_CHUNK, 4 * width))
+    if n_blocks == 1:
+        # Fortran layout for dgeqrf: row j of ``buf`` is column j.
+        buf = np.empty((width, n_rows))
+        fill(slice(0, n_rows), buf.T)
+        return _householder_r(buf)
+    bounds = n_rows * np.arange(n_blocks + 1) // n_blocks
+    flat = np.empty(width * -(-n_rows // n_blocks))
+    stack = np.empty((n_blocks * width, width))
+    for b in range(n_blocks):
+        lo, hi = int(bounds[b]), int(bounds[b + 1])
+        buf = flat[: width * (hi - lo)].reshape(width, hi - lo)
+        fill(slice(lo, hi), buf.T)
+        stack[b * width : (b + 1) * width] = _householder_r(buf)
+    return _blocked_r(stack.shape[0], width, lambda rows, out: np.copyto(out, stack[rows]))
+
+
 def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     """QR of [x_c | y_c / s] for the degree-1..N columns ``x``.
 
     Dividing the centered response by s = max |y_c| keeps ssy and the
     projections representable at any response scale; r2 is scale-free and
-    the coefficients are scaled back.  Only R is formed, never Q.
+    the coefficients are scaled back.  Only R is formed, never Q.  Each
+    block of rows is centered and scaled straight into the buffer that
+    :func:`_blocked_r` factorizes, and the column sums of squares for the
+    rank check are summed block by block as it is filled, so no full copy
+    of the design is made.  With n <= ``_CHUNK`` this is one buffer and
+    one QR.
     """
     n, n_cols = x.shape
     ybar = float(y.mean())
@@ -293,16 +336,18 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     if scale == 0.0:
         scale = 1.0
     col_means = x.mean(axis=0)
-    # Row j of ``buf`` is column j of ``aug``: the Fortran layout dgeqrf
-    # factorizes in place.
-    buf = np.empty((n_cols + 1, n))
-    aug = buf.T
-    xc = aug[:, :n_cols]
-    np.subtract(x, col_means, out=xc)
-    col_norm = np.sqrt(np.einsum("ij,ij->j", xc, xc))
-    np.divide(yc, scale, out=aug[:, n_cols])
-    ssy = float(aug[:, n_cols] @ aug[:, n_cols])
-    r = _householder_r(buf)
+    # Centered column sums of squares, then ssy = ||y_c / s||^2.
+    sums = np.zeros(n_cols + 1)
+
+    def fill(rows: slice, aug: np.ndarray) -> None:
+        xc = aug[:, :n_cols]
+        np.subtract(x[rows], col_means, out=xc)
+        sums[:n_cols] += np.einsum("ij,ij->j", xc, xc)
+        np.divide(yc[rows], scale, out=aug[:, n_cols])
+        sums[n_cols] += aug[:, n_cols] @ aug[:, n_cols]
+
+    r = _blocked_r(n, n_cols + 1, fill)
+    col_norm = np.sqrt(sums[:n_cols])
     # With fewer rows than columns R is short; the missing pivots are zero.
     diag = np.zeros(n_cols)
     diag[: r.shape[0]] = np.abs(np.diag(r))[:n_cols]
@@ -319,7 +364,7 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
         r=r[:n_cols, :n_cols],
         z=r[:n_cols, n_cols],
         rho2=float(r[n_cols, n_cols] ** 2),
-        ssy=ssy,
+        ssy=float(sums[n_cols]),
         scale=scale,
     )
 
@@ -419,12 +464,14 @@ def _batched_bf(
     qk: np.ndarray,
     log1m_r2: np.ndarray,
     omega_prior: OmegaPrior,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Log Bayes factors and shrinkage factors for a batch of models.
 
-    Returns (log_bf, xi) where xi[k] = E[n / (n + omega (qk + 1)) | y, model k],
-    the posterior expectation computed over the same nodes as the Bayes
-    factor integral (a ratio of two quadratures sharing nodes).
+    Returns (log_bf, xi, centre, scale) where xi[k] = E[n / (n + omega
+    (qk + 1)) | y, model k], the posterior expectation computed over the
+    same nodes as the Bayes factor integral (a ratio of two quadratures
+    sharing nodes), and centre and scale place each model's rule in v
+    (see :func:`_peak`).
     """
     qk = np.asarray(qk, dtype=float)
     log1m_r2 = np.asarray(log1m_r2, dtype=float)
@@ -443,7 +490,7 @@ def _batched_bf(
     # n / (n + omega (qk + 1)) = g / (1 + g).
     factor = expit(log_n_s - omega_prior.log_omega(v))
     xi = (terms * factor).sum(axis=0) / total
-    return top + np.log(total), np.minimum(xi, 1.0)
+    return top + np.log(total), np.minimum(xi, 1.0), centre, scale
 
 
 # ============================================================
@@ -478,9 +525,9 @@ def log_bayes_factor(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     _check_not_saturated(stats)
     if stats.qk == stats.q0:
         return 0.0
-    log_bf, _ = _batched_bf(
+    log_bf = _batched_bf(
         stats.n, stats.q0, [stats.qk], [np.log1p(-stats.r2)], omega_prior
-    )
+    )[0]
     return float(log_bf[0])
 
 
@@ -488,7 +535,7 @@ def shrinkage(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     """Posterior expectation of n / (n + omega (qk + 1)) for one model."""
     _check_not_saturated(stats)
     r2 = 0.0 if stats.qk == stats.q0 else stats.r2
-    _, xi = _batched_bf(stats.n, stats.q0, [stats.qk], [np.log1p(-r2)], omega_prior)
+    xi = _batched_bf(stats.n, stats.q0, [stats.qk], [np.log1p(-r2)], omega_prior)[1]
     return float(xi[0])
 
 
@@ -518,6 +565,10 @@ class ModelPosterior:
         (N + 1,) coefficient of determination per order (r2[0] = 0).
     excluded : tuple
         Orders removed by the saturation guard q_k >= n - q0.
+    quadrature_centre, quadrature_scale : np.ndarray or None
+        (N + 1,) centre and scale in v of each order's quadrature rule
+        (nodes at centre + scale sinh(z)); NaN for excluded orders, None
+        for a posterior not built by the quadrature.
     """
 
     max_order: int
@@ -529,6 +580,8 @@ class ModelPosterior:
     shrunken_inclusion: np.ndarray
     r2: np.ndarray
     excluded: tuple
+    quadrature_centre: np.ndarray | None = None
+    quadrature_scale: np.ndarray | None = None
 
 
 def model_posterior(
@@ -622,14 +675,13 @@ def _posterior_from_r2(
             f"maximum order so the model does not interpolate the data"
         )
 
-    log_bf = np.full(n_max + 1, np.nan)
-    xi = np.full(n_max + 1, np.nan)
     kept = ks[keep]
     # The base model rides along with a unit kernel so its shrinkage
     # factor comes from the same node set as everyone else's.
-    bf_vals, xi_vals = _batched_bf(n, q0, qk[kept], log1m_r2[kept], omega_prior)
-    log_bf[kept] = bf_vals
-    xi[kept] = xi_vals
+    log_bf, xi, centre, scale = (np.full(n_max + 1, np.nan) for _ in range(4))
+    log_bf[kept], xi[kept], centre[kept], scale[kept] = _batched_bf(
+        n, q0, qk[kept], log1m_r2[kept], omega_prior
+    )
     log_bf[0] = 0.0
 
     log_post = np.full(n_max + 1, -np.inf)
@@ -649,4 +701,6 @@ def _posterior_from_r2(
         shrunken_inclusion=shrunken_inclusion,
         r2=r2,
         excluded=excluded,
+        quadrature_centre=centre,
+        quadrature_scale=scale,
     )

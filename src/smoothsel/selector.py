@@ -6,10 +6,11 @@ probability exceeds one half, the default) or the minimizer of a
 predictive squared-error loss whose model term weighs inclusion
 probabilities against per-model shrinkage.  One QR factorization of the
 centered Legendre design gives every nested r2, the full-model and the
-selected-order coefficients.  A fit is its Legendre coefficients:
-``predict`` evaluates them with the Legendre recurrence, and the Bernstein
-ordinates are derived from them only for reporting, with a bound on the
-rounding of that transform.
+selected-order coefficients; at large n it is reduced by blocks of rows
+that fit in cache, so no full copy of the design is made.  A fit is its
+Legendre coefficients: ``predict`` evaluates them with the Legendre
+recurrence, and the Bernstein ordinates are derived from them only for
+reporting, with a bound on the rounding of that transform.
 """
 
 from __future__ import annotations
@@ -345,6 +346,8 @@ def fit(
         in ``design``, ``factorization`` (the QR and the r2 path),
         ``quadrature`` (the Bayes factors), ``selection`` (with the
         losses) and ``coefficients``; they sum to ``timing_seconds``.
+        ``diagnostics["quadrature_centre"]`` and ``["quadrature_scale"]``
+        place each order's Bayes-factor rule in its variable v.
     """
     if config is None:
         config = FitConfig()
@@ -411,6 +414,8 @@ def fit(
         "col_means": factor.col_means,
         "ybar": factor.ybar,
         "bernstein_error_bound": eta_bound,
+        "quadrature_centre": mp.quadrature_centre,
+        "quadrature_scale": mp.quadrature_scale,
         "stages": dict(zip(stages, np.diff(marks).tolist())),
     }
     return FitResult(

@@ -19,16 +19,22 @@ from oracles import (
     oracle_log_bf,
     oracle_shrinkage,
 )
+from smoothsel import gprior
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import (
+    _CHUNK,
     ModelFitStats,
     OmegaPrior,
+    _factorize,
+    _householder_r,
     fit_stats,
     log_bayes_factor,
     model_posterior,
     shrinkage,
 )
 from smoothsel.model_space import model_prior
+from smoothsel.selector import fit
+from smoothsel.simulation import Scenario, generate
 
 UNIT = PredictorScale(0.0, 1.0)
 KINDS = ["intrinsic", "zellner-siow", "hyper-g"]
@@ -138,10 +144,6 @@ class TestModelFitStats:
         with pytest.raises(ValueError):
             ModelFitStats(n=50, q0=3, qk=1, r2=0.5)
 
-    def test_saturated_flag(self):
-        assert ModelFitStats(n=50, q0=1, qk=3, r2=1.0).saturated
-        assert not ModelFitStats(n=50, q0=1, qk=3, r2=0.999).saturated
-
 
 class TestFitStats:
     def test_constant_response_has_zero_r2(self):
@@ -159,7 +161,6 @@ class TestFitStats:
         design = build_design(x, UNIT, 1, "legendre")
         y = design.values[:, 1].copy()
         st = fit_stats(y, design, 1)
-        assert st.saturated
         assert st.r2 >= 1.0 - 1e-12
 
     def test_matches_normal_equations_oracle(self):
@@ -200,6 +201,111 @@ class TestFitStats:
         design = build_design(x, UNIT, 2, "legendre")
         with pytest.raises(ValueError, match="degree-2"):
             fit_stats(np.arange(6.0), design, 2)
+
+
+def _qr_reference(y, x):
+    """R of [x_c | y_c / s] by np.linalg.qr, with rows signed to a positive diagonal."""
+    yc = y - y.mean()
+    aug = np.column_stack([x - x.mean(axis=0), yc / np.max(np.abs(yc))])
+    r = np.linalg.qr(aug, mode="r")
+    return r * np.sign(np.diag(r))[:, None], float(np.sum(aug[:, -1] ** 2))
+
+
+def _spy_householder(monkeypatch):
+    """Record the (columns, rows) shape of every block _householder_r reduces."""
+    shapes = []
+
+    def spy(buf):
+        shapes.append(buf.shape)
+        return _householder_r(buf)
+
+    monkeypatch.setattr(gprior, "_householder_r", spy)
+    return shapes
+
+
+class TestBlockedFactorization:
+    """The QR of [x_c | y_c / s] by blocks of rows against one plain QR."""
+
+    def check_against_plain_qr(self, n, n_cols, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n_cols))
+        y = x @ rng.standard_normal(n_cols) + rng.standard_normal(n)
+        factor = _factorize(y, x)
+        ref, ssy = _qr_reference(y, x)
+        signs = np.sign(np.diag(factor.r))
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(
+            factor.r * signs[:, None], ref[:n_cols, :n_cols], rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_allclose(
+            factor.z**2, ref[:n_cols, n_cols] ** 2, rtol=0, atol=1e-12 * ssy
+        )
+        assert factor.rho2 == pytest.approx(ref[n_cols, n_cols] ** 2, rel=1e-12)
+        assert factor.ssy == pytest.approx(ssy, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_matches_plain_qr(self, n, monkeypatch):
+        shapes = _spy_householder(monkeypatch)
+        self.check_against_plain_qr(n, 12, seed=n)
+        # One block up to _CHUNK rows; above it, near-equal blocks of at
+        # most _CHUNK rows, then one reduction of their stacked R's.
+        n_blocks = -(-n // _CHUNK)
+        assert len(shapes) == (1 if n_blocks == 1 else n_blocks + 1)
+        assert sum(rows for _, rows in shapes[:n_blocks]) == n
+        assert all(rows <= _CHUNK for _, rows in shapes)
+
+    def test_wide_design_keeps_every_block_tall(self, monkeypatch):
+        # N + 1 > _CHUNK / 4: blocks of max(_CHUNK, 4 (N + 1)) rows at most.
+        shapes = _spy_householder(monkeypatch)
+        n_cols = _CHUNK // 4 + 7
+        self.check_against_plain_qr(4 * (n_cols + 1) + 1, n_cols, seed=1)
+        # Two blocks of 2 (N + 1) and 2 (N + 1) + 1 rows, then their stacked R's.
+        width = n_cols + 1
+        assert [rows for _, rows in shapes] == [2 * width, 2 * width + 1, 2 * width]
+        assert all(rows > cols for cols, rows in shapes)
+
+    def test_stacked_factors_are_reduced_by_blocks_again(self, monkeypatch):
+        # With a small block height the stacked R's outgrow one block too:
+        # 9 blocks, then 3 blocks of their 279 stacked rows, then one.
+        monkeypatch.setattr(gprior, "_CHUNK", 64)
+        shapes = _spy_householder(monkeypatch)
+        self.check_against_plain_qr(1000, 30, seed=2)
+        assert [rows for _, rows in shapes[9:]] == [93, 93, 93, 93]
+        assert all(rows >= 2 * cols for cols, rows in shapes)
+
+    @pytest.mark.parametrize("n", [40, _CHUNK])
+    def test_one_block_is_one_plain_householder_call(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x = build_design(rng.uniform(0, 1, n), UNIT, 9, "legendre").values[:, 1:]
+        y = np.sin(5.0 * x[:, 0]) + rng.standard_normal(n)
+        shapes = _spy_householder(monkeypatch)
+        factor = _factorize(y, x)
+        assert shapes == [(10, n)]
+        # The single-buffer factorization, written out.
+        yc = y - y.mean()
+        buf = np.empty((10, n))
+        np.subtract(x, x.mean(axis=0), out=buf.T[:, :9])
+        np.divide(yc, np.max(np.abs(yc)), out=buf.T[:, 9])
+        ssy = float(buf.T[:, 9] @ buf.T[:, 9])
+        r = _householder_r(buf)
+        np.testing.assert_array_equal(factor.r, r[:9, :9])
+        np.testing.assert_array_equal(factor.z, r[:9, 9])
+        assert factor.rho2 == float(r[9, 9] ** 2)
+        assert factor.ssy == ssy
+
+    def test_collinear_column_rejected_across_blocks(self):
+        # Three distinct x values support two centered columns, in every block.
+        x = np.tile([0.1, 0.5, 0.9], _CHUNK + 2)
+        design = build_design(x, UNIT, 4, "legendre")
+        with pytest.raises(ValueError, match="degree-3"):
+            fit_stats(np.arange(x.size, dtype=float), design, 4)
+
+    def test_noiseless_poly5_above_one_block(self):
+        x, y = generate(Scenario("poly5", 2 * _CHUNK + 17, np.inf, 1, 0), 0)
+        result = fit(x, y)
+        design = build_design(x, result.scale, result.max_order, "legendre")
+        assert np.all(np.isfinite(_factorize(y, design.values[:, 1:]).log1m_r2()))
+        assert result.selected_order == 5
 
 
 class TestLogBayesFactor:
@@ -379,6 +485,9 @@ class TestModelPosterior:
         assert mp.excluded == (4,)
         assert mp.posterior[4] == 0.0
         assert np.isnan(mp.log_bf[4])
+        assert np.isnan(mp.quadrature_centre[4]) and np.isnan(mp.quadrature_scale[4])
+        assert np.all(np.isfinite(mp.quadrature_centre[:4]))
+        assert np.all(np.isfinite(mp.quadrature_scale[:4]))
         assert mp.posterior.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_design_and_prior_order_must_match(self):

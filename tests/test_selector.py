@@ -497,6 +497,18 @@ class TestFit:
         assert sum(stages.values()) == pytest.approx(result.timing_seconds, abs=1e-9)
         assert json.loads(result.to_json())["diagnostics"]["stages"] == stages
 
+    def test_quadrature_centre_and_scale_are_reported(self):
+        x, y = self.smooth_data(n=150, seed=78)
+        result = fit(x, y, FitConfig(omega_prior=OmegaPrior.zellner_siow()))
+        payload = json.loads(result.to_json())["diagnostics"]
+        for key in ("quadrature_centre", "quadrature_scale"):
+            values = result.diagnostics[key]
+            assert values.shape == (result.max_order + 1,)
+            assert np.all(np.isfinite(values)), key
+            assert payload[key] == values.tolist()
+        scale = result.diagnostics["quadrature_scale"]
+        assert np.all((scale >= 1e-3) & (scale <= 2.0))
+
     def test_serialization_round_trip(self):
         x, y = self.smooth_data(n=120, seed=21)
         result = fit(x, y)

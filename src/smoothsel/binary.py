@@ -61,15 +61,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import log_ndtr, logsumexp, ndtri
 
-from .basis import LEGENDRE, DesignMatrix, PredictorScale, build_design
-from .gprior import _normalized_posterior
-from .model_space import model_prior
+from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale
+from .gprior import _check_rank, _normalized_posterior
 from .selector import (
     FitResult,
     _available_cores,
     _bernstein_view,
     _mpm_order,
-    _order_bound,
+    _prepare,
 )
 from .transform import build_transform
 
@@ -136,7 +135,7 @@ class BinaryFitConfig:
 
     prior_a: float = 1.0
     prior_b: float = 1.0
-    cap: int = 60
+    cap: int = _ORDER_CAP
     mc_draws: int = 4000
     seed: int = 0
     scale: Optional[PredictorScale] = None
@@ -184,14 +183,7 @@ def _orthonormal_columns(design: DesignMatrix, k: int) -> np.ndarray:
         raise ValueError(f"k={k} outside [1, {design.order}]")
     cols = design.values[:, 1:]
     q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diag(r)[:k])
-    norms = np.sqrt((cols[:, :k] ** 2).sum(axis=0))
-    bad = np.nonzero(diag <= 1e-12 * np.maximum(norms, 1.0))[0]
-    if bad.size:
-        raise ValueError(
-            f"rank-deficient design: degree-{bad[0] + 1} column is numerically "
-            f"collinear with the lower-degree columns"
-        )
+    _check_rank(np.diag(r)[:k], np.sqrt((cols[:, :k] ** 2).sum(axis=0)))
     return q[:, :k]
 
 
@@ -574,7 +566,9 @@ def fit_binary(
     Parameters
     ----------
     x : np.ndarray
-        Predictor values.
+        Predictor values, length n >= 5.  ``x`` and ``y`` pass the same
+        checks as in :func:`smoothsel.selector.fit`, which also resolves
+        the scale, order bound, design and order prior of both fits.
     y : np.ndarray
         Binary response in {0, 1}; constant responses are rejected.
     config : BinaryFitConfig, optional
@@ -594,9 +588,9 @@ def fit_binary(
         of each order's joint mode.  Per fit: ``screened_mass``,
         the Laplace posterior mass of the screened orders, at most
         N e^-30; the refit's Newton count and flag; the Bernstein error
-        bound; and ``stages``, the seconds spent in ``design``,
-        ``laplace``, ``monte_carlo`` (with the selection) and ``refit``,
-        which sum to ``timing_seconds``.
+        bound; and ``stages``, the seconds spent in ``design`` (with
+        the input checks), ``laplace``, ``monte_carlo`` (with the
+        selection) and ``refit``, which sum to ``timing_seconds``.
 
     Notes
     -----
@@ -612,23 +606,13 @@ def fit_binary(
     """
     if config is None:
         config = BinaryFitConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    y_arr = np.atleast_1d(np.asarray(y)).ravel()
-    if x.size != y_arr.size:
-        raise ValueError(f"x and y lengths differ: {x.size} vs {y_arr.size}")
-    spec = OrthantSpec.from_response(y_arr)
+    marks = [time.perf_counter()]
+    x, y, scale, design, prior = _prepare(x, y, config)
+    spec = OrthantSpec.from_response(y)
     if np.unique(spec.signs).size < 2:
         warnings.warn("constant binary response carries no order information", RuntimeWarning)
         raise ValueError("constant binary response: every orthant is one-sided")
-    if x.size < 5:
-        raise ValueError(f"need at least 5 observations, got {x.size}")
-
-    marks = [time.perf_counter()]
-    scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
-    n = x.size
-    n_max = _order_bound(x, config.cap)
-    design = build_design(x, scale, n_max, LEGENDRE)
-    prior = model_prior(n_max, config.prior_a, config.prior_b)
+    n, n_max = x.size, design.order
     marks.append(time.perf_counter())
 
     log_den = _log_base_integral(spec)

@@ -18,13 +18,13 @@ from collections import Counter
 
 import numpy as np
 
-from .basis import PredictorScale
+from .basis import _ORDER_CAP, PredictorScale
 from .binary import BinaryFitConfig, fit_binary
-from .gprior import OmegaPrior
+from .gprior import HYPER_G, INTRINSIC, ZELLNER_SIOW, OmegaPrior
 from .selector import RULE_LOSS, RULE_MPM, FitConfig, fit
 from .simulation import Scenario, run_grid
 
-_OMEGA_NAMES = ("intrinsic", "zellner-siow", "hyper-g")
+_OMEGA_NAMES = (INTRINSIC, ZELLNER_SIOW, HYPER_G)
 
 
 def _positive_int(text: str) -> int:
@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--rule", choices=(RULE_MPM, RULE_LOSS), default=RULE_MPM)
     p_fit.add_argument("--prior-a", type=float, default=1.0, help="model prior Beta a")
     p_fit.add_argument("--prior-b", type=float, default=1.0, help="model prior Beta b")
-    p_fit.add_argument("--cap", type=_positive_int, default=60, help="hard cap on the order")
+    p_fit.add_argument("--cap", type=_positive_int, default=_ORDER_CAP,
+                       help="hard cap on the order")
     p_fit.add_argument("--scale", type=_float_list, default=None, metavar="A,B",
                        help="predictor interval (default: data range)")
     p_fit.add_argument("--binary", action="store_true", help="treat the response as binary probit")
@@ -103,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", choices=(RULE_MPM, RULE_LOSS), default=RULE_MPM)
         p.add_argument("--prior-a", type=float, default=1.0)
         p.add_argument("--prior-b", type=float, default=1.0)
-        p.add_argument("--cap", type=_positive_int, default=60)
+        p.add_argument("--cap", type=_positive_int, default=_ORDER_CAP)
         p.add_argument("--output", required=True, help="results CSV path")
 
     p_rep = sub.add_parser("report", help="aggregate a results CSV")
@@ -114,20 +115,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_columns(path: str, names: list[str]) -> list[np.ndarray]:
-    """Read named numeric columns; raises ValueError naming row/column."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            for name in names:
-                if name not in fields:
-                    raise ValueError(f"column {name!r} not found in {path}")
-            rows = list(reader)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+def _read_rows(path: str) -> tuple[list[str], list[dict]]:
+    """Header and data rows of a CSV file, which must have at least one row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         raise ValueError(f"{path} has no data rows")
+    return reader.fieldnames, rows
+
+
+def _read_columns(path: str, names: list[str]) -> list[np.ndarray]:
+    """Read named numeric columns; raises ValueError naming row/column."""
+    fields, rows = _read_rows(path)
+    for name in names:
+        if name not in fields:
+            raise ValueError(f"column {name!r} not found in {path}")
     out = []
     for name in names:
         values = np.empty(len(rows))
@@ -246,15 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _report_tables(path: str) -> tuple[list[list[str]], list[list[str]]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            rows = list(reader)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
+    fields, rows = _read_rows(path)
     order_cols = [c for c in ("order_bayes", "order_cv") if c in fields]
     if not order_cols:
         raise ValueError(f"{path} has no order_bayes/order_cv columns")
@@ -287,26 +282,18 @@ def _report_tables(path: str) -> tuple[list[list[str]], list[list[str]]]:
 
 
 def _emit_tables(freq_rows, time_rows, fmt: str, sink) -> None:
-    if fmt == "csv":
-        sink.write("# selection frequency\n")
-        for row in freq_rows:
-            sink.write(",".join(row) + "\n")
-        if len(time_rows) > 1:
-            sink.write("# timing quantiles\n")
-            for row in time_rows:
-                sink.write(",".join(row) + "\n")
-        return
-    sink.write("## Selection frequency\n\n")
-    sink.write("| " + " | ".join(freq_rows[0]) + " |\n")
-    sink.write("|" + "|".join(["---"] * len(freq_rows[0])) + "|\n")
-    for row in freq_rows[1:]:
-        sink.write("| " + " | ".join(row) + " |\n")
+    tables = [("selection frequency", freq_rows)]
     if len(time_rows) > 1:
-        sink.write("\n## Timing quantiles\n\n")
-        sink.write("| " + " | ".join(time_rows[0]) + " |\n")
-        sink.write("|" + "|".join(["---"] * len(time_rows[0])) + "|\n")
-        for row in time_rows[1:]:
-            sink.write("| " + " | ".join(row) + " |\n")
+        tables.append(("timing quantiles", time_rows))
+    for i, (title, rows) in enumerate(tables):
+        if fmt == "csv":
+            sink.write(f"# {title}\n")
+            lines = [",".join(row) for row in rows]
+        else:
+            sink.write(("\n" if i else "") + f"## {title.capitalize()}\n\n")
+            lines = ["| " + " | ".join(row) + " |" for row in rows]
+            lines.insert(1, "|" + "|".join(["---"] * len(rows[0])) + "|")
+        sink.write("".join(line + "\n" for line in lines))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -333,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -194,18 +194,28 @@ class OmegaPrior:
 
 @dataclass(frozen=True)
 class ModelFitStats:
-    """Sufficient statistics of one nested model for its Bayes factor."""
+    """Sufficient statistics of one nested model for its Bayes factor.
+
+    The Bayes factor reads ``log1m_r2`` = log(1 - r2): :func:`fit_stats`
+    fills it from the exact residual, and it defaults to log1p(-r2).
+    """
 
     n: int
     q0: int
     qk: int
     r2: float
+    log1m_r2: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.r2 <= 1.0):
             raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
         if self.qk < self.q0:
             raise ValueError(f"qk={self.qk} must be >= q0={self.q0}")
+        if self.log1m_r2 is None:
+            with np.errstate(divide="ignore"):
+                object.__setattr__(self, "log1m_r2", float(np.log1p(-self.r2)))
+        elif not self.log1m_r2 <= 0.0:
+            raise ValueError(f"log1m_r2 must be <= 0, got {self.log1m_r2}")
 
 
 class _Factorization(NamedTuple):
@@ -317,6 +327,19 @@ def _blocked_r(
     return _blocked_r(stack.shape[0], width, lambda rows, out: np.copyto(out, stack[rows]))
 
 
+def _check_rank(pivots: np.ndarray, col_norms: np.ndarray) -> None:
+    """Reject a design whose QR pivot |R_jj| is below 1e-12 max(||column j||, 1).
+
+    Column j of the degree columns is degree j + 1.
+    """
+    bad = np.nonzero(np.abs(pivots) <= 1e-12 * np.maximum(col_norms, 1.0))[0]
+    if bad.size:
+        raise ValueError(
+            f"rank-deficient design: degree-{bad[0] + 1} column is numerically "
+            f"collinear with the lower-degree columns"
+        )
+
+
 def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     """QR of [x_c | y_c / s] for the degree-1..N columns ``x``.
 
@@ -347,17 +370,10 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
         sums[n_cols] += aug[:, n_cols] @ aug[:, n_cols]
 
     r = _blocked_r(n, n_cols + 1, fill)
-    col_norm = np.sqrt(sums[:n_cols])
     # With fewer rows than columns R is short; the missing pivots are zero.
     diag = np.zeros(n_cols)
-    diag[: r.shape[0]] = np.abs(np.diag(r))[:n_cols]
-    bad = np.nonzero(diag <= 1e-12 * np.maximum(col_norm, 1.0))[0]
-    if bad.size:
-        # Column j of the reduced design is degree j + 1.
-        raise ValueError(
-            f"rank-deficient design: degree-{bad[0] + 1} column is numerically "
-            f"collinear with the lower-degree columns"
-        )
+    diag[: r.shape[0]] = np.diag(r)[:n_cols]
+    _check_rank(diag, np.sqrt(sums[:n_cols]))
     return _Factorization(
         ybar=ybar,
         col_means=col_means,
@@ -384,9 +400,11 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
     Returns
     -------
     ModelFitStats
-        With q0 = 1, qk = k + 1, and r2 computed through a QR factorization
-        of the centered degree-1..k columns (exact Gram matrix, no diagonal
-        approximation).
+        With q0 = 1, qk = k + 1, and r2 and log(1 - r2) computed through a
+        QR factorization of the centered degree-1..k columns (exact Gram
+        matrix, no diagonal approximation); log(1 - r2) comes from the
+        exact residual, as in :func:`fit`, so noiseless data keep a finite
+        Bayes factor.
     """
     if design.basis != LEGENDRE:
         raise ValueError("fit statistics require a Legendre design")
@@ -398,8 +416,9 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
     if n <= k + 2:
         raise ValueError(f"need n > k + 2 observations, got n={n}, k={k}")
-    r2 = _factorize(y, design.values[:, 1 : k + 1]).r2()[k]
-    return ModelFitStats(n=n, q0=1, qk=k + 1, r2=float(r2))
+    factor = _factorize(y, design.values[:, 1 : k + 1])
+    r2, log1m_r2 = factor.r2()[k], factor.log1m_r2()[k]
+    return ModelFitStats(n=n, q0=1, qk=k + 1, r2=float(r2), log1m_r2=float(log1m_r2))
 
 
 # ============================================================
@@ -498,12 +517,22 @@ def _batched_bf(
 # ============================================================
 
 
-def _check_not_saturated(stats: ModelFitStats) -> None:
-    if stats.r2 >= 1.0:
+def _reject_zero_residual(orders, r2, log1m_r2) -> None:
+    """Reject the first order whose residual is exactly zero, log(1 - r2) = -inf."""
+    zero = np.flatnonzero(np.isneginf(log1m_r2))
+    if zero.size:
         raise ValueError(
-            f"saturated fit (r2={stats.r2}); lower the maximum order so the "
-            f"model does not interpolate the data"
+            f"saturated fit at order {orders[zero[0]]} (r2={r2[zero[0]]}); lower "
+            f"the maximum order so the model does not interpolate the data"
         )
+
+
+def _one_model(stats: ModelFitStats, omega_prior: OmegaPrior) -> tuple[float, float]:
+    """Log Bayes factor and shrinkage of one model; the base model has r2 = 0."""
+    log1m_r2 = 0.0 if stats.qk == stats.q0 else stats.log1m_r2
+    _reject_zero_residual([stats.qk - stats.q0], [stats.r2], [log1m_r2])
+    log_bf, xi, _, _ = _batched_bf(stats.n, stats.q0, [stats.qk], [log1m_r2], omega_prior)
+    return float(log_bf[0]), float(xi[0])
 
 
 def log_bayes_factor(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
@@ -512,7 +541,9 @@ def log_bayes_factor(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     Parameters
     ----------
     stats : ModelFitStats
-        Sufficient statistics from :func:`fit_stats`; r2 must be below 1.
+        Sufficient statistics from :func:`fit_stats`; the residual must not
+        be exactly zero.  Noiseless data are taken as :func:`fit` takes
+        them: the Bayes factor reads ``stats.log1m_r2``.
     omega_prior : OmegaPrior
         Mixing distribution over the inverse scale.
 
@@ -522,21 +553,14 @@ def log_bayes_factor(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
         Exactly 0.0 when qk == q0; otherwise the log of the mixture Bayes
         factor.
     """
-    _check_not_saturated(stats)
     if stats.qk == stats.q0:
         return 0.0
-    log_bf = _batched_bf(
-        stats.n, stats.q0, [stats.qk], [np.log1p(-stats.r2)], omega_prior
-    )[0]
-    return float(log_bf[0])
+    return _one_model(stats, omega_prior)[0]
 
 
 def shrinkage(stats: ModelFitStats, omega_prior: OmegaPrior) -> float:
     """Posterior expectation of n / (n + omega (qk + 1)) for one model."""
-    _check_not_saturated(stats)
-    r2 = 0.0 if stats.qk == stats.q0 else stats.r2
-    xi = _batched_bf(stats.n, stats.q0, [stats.qk], [np.log1p(-r2)], omega_prior)[1]
-    return float(xi[0])
+    return _one_model(stats, omega_prior)[1]
 
 
 @dataclass(frozen=True)
@@ -668,14 +692,8 @@ def _posterior_from_r2(
         )
     if not keep[0]:
         raise ValueError(f"sample size n={n} too small for even the base model")
-    if np.any(np.isneginf(log1m_r2[keep])):
-        worst = int(ks[keep][np.argmin(log1m_r2[keep])])
-        raise ValueError(
-            f"saturated fit at order {worst} (r2={r2[worst]}); lower the "
-            f"maximum order so the model does not interpolate the data"
-        )
-
     kept = ks[keep]
+    _reject_zero_residual(kept, r2[keep], log1m_r2[keep])
     # The base model rides along with a unit kernel so its shrinkage
     # factor comes from the same node set as everyone else's.
     log_bf, xi, centre, scale = (np.full(n_max + 1, np.nan) for _ in range(4))

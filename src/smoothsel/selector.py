@@ -25,13 +25,15 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .basis import LEGENDRE, PredictorScale, build_design, max_order
+from .basis import _ORDER_CAP, LEGENDRE, PredictorScale, build_design, max_order
 from .gprior import ModelPosterior, OmegaPrior, _factorize, _posterior_from_r2
 from .model_space import model_prior
 from .transform import TransformPair, build_transform, legendre_to_bernstein
 
 RULE_MPM = "mpm"
 RULE_LOSS = "loss"
+# The smallest sample a fit takes.
+_MIN_SAMPLE = 5
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class FitConfig:
     prior_a: float = 1.0
     prior_b: float = 1.0
     rule: str = RULE_MPM
-    cap: int = 60
+    cap: int = _ORDER_CAP
     scale: Optional[PredictorScale] = None
 
     def __post_init__(self) -> None:
@@ -176,6 +178,28 @@ def _order_bound(x: np.ndarray, cap: int) -> int:
         )
         bound = distinct - 1
     return bound
+
+
+def _prepare(x: np.ndarray, y: np.ndarray, config) -> tuple:
+    """The input work shared by ``fit`` and ``fit_binary``.
+
+    Coerces x and y to float vectors and checks their lengths, the sample
+    size and finiteness; returns them with the scale, the Legendre design
+    of the order bound and the order prior that ``config`` gives.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    if x.size != y.size:
+        raise ValueError(f"x and y lengths differ: {x.size} vs {y.size}")
+    if x.size < _MIN_SAMPLE:
+        raise ValueError(f"need at least {_MIN_SAMPLE} observations, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x and y must be finite")
+    scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
+    n_max = _order_bound(x, config.cap)
+    design = build_design(x, scale, n_max, LEGENDRE)
+    prior = model_prior(n_max, config.prior_a, config.prior_b)
+    return x, y, scale, design, prior
 
 
 def _available_cores() -> int:
@@ -343,29 +367,18 @@ def fit(
         Selected order, posterior over orders, shrunken coefficients in
         both bases, diagnostics, and the wall-clock time of the selection.
         ``diagnostics["stages"]`` splits that time into the seconds spent
-        in ``design``, ``factorization`` (the QR and the r2 path),
-        ``quadrature`` (the Bayes factors), ``selection`` (with the
-        losses) and ``coefficients``; they sum to ``timing_seconds``.
+        in ``design`` (with the input checks), ``factorization`` (the QR
+        and the r2 path), ``quadrature`` (the Bayes factors),
+        ``selection`` (with the losses) and ``coefficients``; they sum to
+        ``timing_seconds``.
         ``diagnostics["quadrature_centre"]`` and ``["quadrature_scale"]``
         place each order's Bayes-factor rule in its variable v.
     """
     if config is None:
         config = FitConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-    if x.size != y.size:
-        raise ValueError(f"x and y lengths differ: {x.size} vs {y.size}")
-    if x.size < 5:
-        raise ValueError(f"need at least 5 observations, got {x.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x and y must be finite")
-
     marks = [time.perf_counter()]
-    scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
-    n = x.size
-    n_max = _order_bound(x, config.cap)
-    design = build_design(x, scale, n_max, LEGENDRE)
-    prior = model_prior(n_max, config.prior_a, config.prior_b)
+    x, y, scale, design, prior = _prepare(x, y, config)
+    n, n_max = x.size, design.order
     marks.append(time.perf_counter())
 
     columns = design.values[:, 1:]

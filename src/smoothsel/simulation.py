@@ -22,16 +22,15 @@ from scipy.integrate import quad
 
 from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
-from .selector import FitConfig, FitResult, _available_cores, _shrunken_legendre, fit
+from .selector import (
+    _MIN_SAMPLE, FitConfig, FitResult, _available_cores, _shrunken_legendre, fit
+)
 
 POLY5 = "poly5"
 PWLINEAR = "pwlinear"
 CUSTOM = "custom"
 
 _GRID_SIZE = 2001
-
-# Interior roots of the degree-5 polynomial; quadrature breakpoints for |mu|.
-_POLY5_ROOTS = (0.04, 0.6, 0.9)
 
 
 def mean_poly5(x: np.ndarray) -> np.ndarray:
@@ -46,10 +45,19 @@ def mean_pwlinear(x: np.ndarray) -> np.ndarray:
     return np.where(x < -1.0, x, np.where(x < 1.0, -1.0, x - 2.0))
 
 
+# Each signal's mean, fixed domain, and the kinks of |mu| (its roots and
+# breakpoints), which the quadrature of the mean absolute signal splits at.
 _TAGGED = {
-    POLY5: (mean_poly5, (0.0, 1.0)),
-    PWLINEAR: (mean_pwlinear, (-3.0, 3.0)),
+    POLY5: (mean_poly5, (0.0, 1.0), (0.04, 0.6, 0.9)),
+    PWLINEAR: (mean_pwlinear, (-3.0, 3.0), (-1.0, 1.0, 2.0)),
 }
+
+
+def _tagged(tag: str) -> tuple:
+    """The (mean, domain, kinks) entry of a named signal."""
+    if tag not in _TAGGED:
+        raise ValueError(f"unknown mean_fn tag {tag!r}")
+    return _TAGGED[tag]
 
 
 @dataclass(frozen=True)
@@ -73,22 +81,20 @@ class Scenario:
     mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.mean_fn in _TAGGED:
-            fixed = _TAGGED[self.mean_fn][1]
+        if self.mean_fn == CUSTOM:
+            if self.mean is None or self.domain is None:
+                raise ValueError("custom scenario needs both mean and domain")
+        else:
+            fixed = _tagged(self.mean_fn)[1]
             if self.domain is None:
                 object.__setattr__(self, "domain", fixed)
             elif tuple(map(float, self.domain)) != fixed:
                 raise ValueError(f"{self.mean_fn} domain is fixed to {fixed}")
-        elif self.mean_fn == CUSTOM:
-            if self.mean is None or self.domain is None:
-                raise ValueError("custom scenario needs both mean and domain")
-        else:
-            raise ValueError(f"unknown mean_fn tag {self.mean_fn!r}")
         a, b = self.domain
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"domain must be a finite interval, got ({a}, {b})")
-        if self.n < 5:
-            raise ValueError(f"n must be >= 5, got {self.n}")
+        if self.n < _MIN_SAMPLE:
+            raise ValueError(f"n must be >= {_MIN_SAMPLE}, got {self.n}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.snr > 0:
@@ -98,9 +104,7 @@ class Scenario:
 
     @property
     def mu(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.mean_fn in _TAGGED:
-            return _TAGGED[self.mean_fn][0]
-        return self.mean
+        return self.mean if self.mean_fn == CUSTOM else _TAGGED[self.mean_fn][0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,9 @@ def sigma_from_snr(
     mean_fn : str or callable
         Signal tag or the mean function itself.
     domain : (a, b)
-        Interval over which the mean absolute signal is taken.
+        Interval over which the mean absolute signal is taken, by
+        adaptive quadrature; for a named signal it is split at the kinks
+        of |mu| inside (a, b), so any interval is integrated accurately.
     snr : float
         Signal-to-noise ratio, > 0; ``inf`` gives sigma = 0, noiseless data,
         which :func:`fit` supports through the exact residual of its
@@ -149,20 +155,10 @@ def sigma_from_snr(
     if not a < b:
         raise ValueError(f"domain must satisfy a < b, got ({a}, {b})")
     if isinstance(mean_fn, str):
-        if mean_fn == PWLINEAR:
-            # Piecewise closed form: 4 + 2 + 1 over the three segments.
-            mean_abs = 7.0 / (b - a)
-            if np.isinf(snr):
-                return 0.0
-            return mean_abs / snr
-        if mean_fn == POLY5:
-            fn = mean_poly5
-            points = [r for r in _POLY5_ROOTS if a < r < b]
-        else:
-            raise ValueError(f"unknown mean_fn tag {mean_fn!r}")
+        fn, _, kinks = _tagged(mean_fn)
+        points = [t for t in kinks if a < t < b]
     else:
-        fn = mean_fn
-        points = None
+        fn, points = mean_fn, None
     total, _ = quad(lambda t: abs(float(fn(t))), a, b, points=points, limit=200)
     mean_abs = total / (b - a)
     if mean_abs <= 0:
@@ -206,7 +202,7 @@ def sup_norm(
     """Max absolute gap between a fitted curve and the true mean on a grid."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    fn = _TAGGED[mean_fn][0] if isinstance(mean_fn, str) else mean_fn
+    fn = _tagged(mean_fn)[0] if isinstance(mean_fn, str) else mean_fn
     grid = np.linspace(float(domain[0]), float(domain[1]), grid_size)
     gap = np.asarray(fit_curve(grid), dtype=float) - np.asarray(fn(grid), dtype=float)
     return float(np.max(np.abs(gap)))

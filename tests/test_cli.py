@@ -329,6 +329,38 @@ class TestReport:
         assert main(["report", str(empty)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "timing, fmt, expected",
+        [
+            (True, "csv",
+             "# selection frequency\norder,count_bayes,count_cv\n4,0,1\n5,2,2\n6,1,0\n"
+             "# timing quantiles\nmetric,q2.5,q50,q97.5\n"
+             "time_bayes,0.0105,0.02,0.0295\ntime_cv,0.51,0.7,0.89\n"),
+            (True, "markdown",
+             "## Selection frequency\n\n| order | count_bayes | count_cv |\n"
+             "|---|---|---|\n| 4 | 0 | 1 |\n| 5 | 2 | 2 |\n| 6 | 1 | 0 |\n\n"
+             "## Timing quantiles\n\n| metric | q2.5 | q50 | q97.5 |\n|---|---|---|---|\n"
+             "| time_bayes | 0.0105 | 0.02 | 0.0295 |\n| time_cv | 0.51 | 0.7 | 0.89 |\n"),
+            (False, "csv", "# selection frequency\norder,count_bayes,count_cv\n"
+             "4,0,1\n5,2,2\n6,1,0\n"),
+            (False, "markdown",
+             "## Selection frequency\n\n| order | count_bayes | count_cv |\n"
+             "|---|---|---|\n| 4 | 0 | 1 |\n| 5 | 2 | 2 |\n| 6 | 1 | 0 |\n"),
+        ],
+    )
+    def test_report_bytes(self, tmp_path, capsys, timing, fmt, expected):
+        rows = [("0", "5", "5", "0.01", "0.5"), ("1", "6", "5", "0.02", "0.7"),
+                ("2", "5", "4", "0.03", "0.9")]
+        header = "rep,order_bayes,order_cv" + (",time_bayes,time_cv" if timing else "")
+        lines = [",".join(r if timing else r[:3]) for r in rows]
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join([header] + lines) + "\n")
+        out = tmp_path / "report.txt"
+        assert main(["report", str(results), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["report", str(results), "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
     def test_schema_mismatch_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
@@ -350,3 +382,26 @@ class TestUsage:
     def test_missing_input_file(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 2
         capsys.readouterr()
+
+
+class TestUnwritableOutput:
+    """An --output in a missing directory is an input error, exit code 2."""
+
+    def test_fit(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_xy(data, np.linspace(0, 1, 30), np.linspace(0, 1, 30) ** 2)
+        out = tmp_path / "missing" / "out.json"
+        assert main(["fit", str(data), "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_simulate(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sim.csv"
+        assert main(["simulate", "--n", "20", "--reps", "1", "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_report(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("rep,order_bayes\n0,3\n")
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["report", str(results), "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -33,7 +33,7 @@ from smoothsel.gprior import (
     shrinkage,
 )
 from smoothsel.model_space import model_prior
-from smoothsel.selector import fit
+from smoothsel.selector import FitConfig, fit
 from smoothsel.simulation import Scenario, generate
 
 UNIT = PredictorScale(0.0, 1.0)
@@ -143,6 +143,12 @@ class TestModelFitStats:
             ModelFitStats(n=50, q0=1, qk=3, r2=-0.1)
         with pytest.raises(ValueError):
             ModelFitStats(n=50, q0=3, qk=1, r2=0.5)
+
+    def test_log1m_r2_defaults_to_log1p(self):
+        assert ModelFitStats(n=50, q0=1, qk=3, r2=0.25).log1m_r2 == np.log1p(-0.25)
+        assert ModelFitStats(n=50, q0=1, qk=3, r2=1.0).log1m_r2 == -np.inf
+        with pytest.raises(ValueError, match="log1m_r2"):
+            ModelFitStats(n=50, q0=1, qk=3, r2=0.5, log1m_r2=0.1)
 
 
 class TestFitStats:
@@ -359,6 +365,29 @@ class TestLogBayesFactor:
         st = ModelFitStats(n=50, q0=1, qk=3, r2=1.0)
         with pytest.raises(ValueError, match="saturated"):
             log_bayes_factor(st, OmegaPrior.intrinsic())
+
+
+@pytest.mark.parametrize("snr, rel_tol", [(np.inf, 0.05), (2.0, 1e-12)])
+def test_per_model_api_matches_fit(snr, rel_tol):
+    # The per-model API reads log(1 - r2) from the exact residual, as fit
+    # does, so noiseless data keep finite Bayes factors.  Noiseless, the two
+    # QRs (k columns here, all N in fit) leave residuals that differ at the
+    # rounding floor, hence the looser tolerance.
+    x, y = generate(Scenario("poly5", 500, snr, 1, 0), 0)
+    config = FitConfig(scale=UNIT)
+    result = fit(x, y, config)
+    design = build_design(x, UNIT, result.max_order, "legendre")
+    for k in range(1, result.max_order + 1):
+        if k in result.diagnostics["excluded"]:
+            continue
+        stats = fit_stats(y, design, k)
+        got = log_bayes_factor(stats, config.omega_prior)
+        want = result.diagnostics["log_bf"][k]
+        assert np.isfinite(got), k
+        assert abs(got - want) <= rel_tol * abs(want), (k, got, want)
+        assert shrinkage(stats, config.omega_prior) == pytest.approx(
+            result.shrinkage[k], rel=1e-12, abs=0.0
+        ), k
 
 
 class TestShrinkage:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from smoothsel.basis import PredictorScale, build_design
+from smoothsel.binary import BinaryFitConfig, fit_binary
 from smoothsel.gprior import ModelPosterior, OmegaPrior
 from smoothsel.selector import (
     FitConfig,
@@ -539,3 +540,18 @@ class TestFit:
         result.save(str(out))
         payload = json.loads(out.read_text())
         assert payload["rule"] == "mpm"
+
+
+@pytest.mark.parametrize("scale", [None, UNIT])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "fit_fn, config", [(fit, FitConfig), (fit_binary, BinaryFitConfig)]
+)
+def test_nonfinite_predictor_rejected_alike(fit_fn, config, bad, scale):
+    # fit and fit_binary share their input checks: the same message whether
+    # or not the scale is given.
+    x = np.linspace(0.0, 1.0, 40)
+    y = (x > 0.5).astype(float)
+    x[3] = bad
+    with pytest.raises(ValueError, match="^x and y must be finite$"):
+        fit_fn(x, y, config(scale=scale))

@@ -107,6 +107,10 @@ class TestSigmaFromSnr:
     def test_infinite_snr_is_noiseless(self):
         assert sigma_from_snr("poly5", (0.0, 1.0), np.inf) == 0.0
 
+    def test_pwlinear_off_its_fixed_domain(self):
+        # On (0, 1) the signal is the constant -1, so its mean |mu| is 1.
+        assert sigma_from_snr("pwlinear", (0.0, 1.0), 2.0) == 0.5
+
 
 class TestGenerate:
     def test_noiseless_when_snr_infinite(self):
@@ -148,6 +152,10 @@ class TestSupNorm:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             sup_norm(mean_poly5, "poly5", (0.0, 1.0), grid_size=1)
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown mean_fn tag"):
+            sup_norm(mean_poly5, "poly7", (0.0, 1.0))
 
     def test_full_order_fit_overfits_on_seeded_data(self):
         scenario = Scenario("pwlinear", 500, 2.0, 1, 42)

@@ -6,8 +6,11 @@ over an equivalent nested family of shifted Legendre models.  Mixtures of
 g-priors give closed one-dimensional integrals for the Bayes factors, the
 median probability model picks the order, and the fitted curve is kept as
 Legendre coefficients and reported in Bernstein form.  Binary responses
-are handled through a probit latent variable representation, and a
-cross-validation baseline is included for benchmarking.
+are handled through a probit latent variable representation.  The
+public surface is the bases and their change of basis, the order prior,
+the per-model Bayes factors and posterior, the two fit paths (``fit``,
+``fit_binary``) with their selection rules, a cross-validation baseline
+and the seeded simulation harness used to benchmark them.
 """
 
 from .basis import (
@@ -15,19 +18,15 @@ from .basis import (
     LEGENDRE,
     DesignMatrix,
     PredictorScale,
-    bernstein_row,
     build_design,
-    legendre_row,
     max_order,
 )
 from .transform import (
     TransformPair,
-    bernstein_to_legendre,
     build_transform,
-    condition_diagnostic,
     legendre_to_bernstein,
 )
-from .model_space import ModelIndex, ModelPrior, enumerate_models, model_prior
+from .model_space import ModelPrior, model_prior
 from .gprior import (
     ModelFitStats,
     ModelPosterior,
@@ -40,7 +39,6 @@ from .gprior import (
 from .selector import (
     FitConfig,
     FitResult,
-    bma_predictor,
     fit,
     loss_equivalence_diagnostic,
     median_probability_order,
@@ -53,7 +51,6 @@ from .binary import (
     binary_log_bf,
     fit_binary,
     orthant_probability,
-    sigma_k,
 )
 from .cv import CvResult, cv_select
 from .simulation import (
@@ -75,18 +72,12 @@ __all__ = [
     "LEGENDRE",
     "PredictorScale",
     "DesignMatrix",
-    "bernstein_row",
-    "legendre_row",
     "build_design",
     "max_order",
     "TransformPair",
     "build_transform",
     "legendre_to_bernstein",
-    "bernstein_to_legendre",
-    "condition_diagnostic",
-    "ModelIndex",
     "ModelPrior",
-    "enumerate_models",
     "model_prior",
     "OmegaPrior",
     "ModelFitStats",
@@ -98,14 +89,12 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "median_probability_order",
-    "bma_predictor",
     "predictive_loss",
     "loss_equivalence_diagnostic",
     "fit",
     "OrthantSpec",
     "BinaryBfEstimate",
     "BinaryFitConfig",
-    "sigma_k",
     "binary_log_bf",
     "orthant_probability",
     "fit_binary",

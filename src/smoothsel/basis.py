@@ -125,50 +125,6 @@ def _legendre_rows(u: np.ndarray, order: int) -> np.ndarray:
     return rows.T
 
 
-def bernstein_row(u: float, order: int) -> np.ndarray:
-    """Evaluate the Bernstein basis of the given order at a single point.
-
-    Parameters
-    ----------
-    u : float
-        Point in [0, 1] (tolerance 1e-12 outside, clamped).
-    order : int
-        Polynomial order, >= 0.
-
-    Returns
-    -------
-    np.ndarray
-        Length ``order + 1`` vector (b_0(u), ..., b_order(u)); the entries
-        are nonnegative and sum to 1.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    uu = _check_unit(np.asarray([u]))
-    return _bernstein_rows(uu, order)[0]
-
-
-def legendre_row(u: float, order: int) -> np.ndarray:
-    """Evaluate the shifted Legendre basis of the given order at a point.
-
-    Parameters
-    ----------
-    u : float
-        Point in [0, 1] (tolerance 1e-12 outside, clamped).
-    order : int
-        Polynomial order, >= 0.
-
-    Returns
-    -------
-    np.ndarray
-        Length ``order + 1`` vector (psi_0(u), ..., psi_order(u)) with
-        psi_k(1) = 1 and psi_k(0) = (-1)^k.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    uu = _check_unit(np.asarray([u]))
-    return _legendre_rows(uu, order)[0]
-
-
 def build_design(
     x: np.ndarray, scale: PredictorScale, order: int, basis: str
 ) -> DesignMatrix:

@@ -85,6 +85,8 @@ _SEPARATION_LIMIT = 20.0
 # most e^-30 of the posterior each; they keep their Laplace Bayes factor.
 # The margin dwarfs the measured Laplace error (at most 1.6 nats).
 _SCREEN_NATS = 30.0
+# The smallest Monte Carlo budget of one order.
+_MIN_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,23 @@ class OrthantSpec:
             raise ValueError("binary response must contain only 0 and 1")
         signs = 2.0 * np.asarray(y, dtype=float) - 1.0
         return cls(signs=signs, n=signs.size)
+
+
+def _two_sided_orthant(y: np.ndarray) -> OrthantSpec:
+    """The orthant of y, which must hold both classes.
+
+    For an all-0 or all-1 response prod Phi(+-lambda_0) -> 1 as the level
+    runs off, so every marginal likelihood diverges under the flat level
+    prior: such a response warns and raises.
+    """
+    spec = OrthantSpec.from_response(y)
+    if np.unique(spec.signs).size < 2:
+        warnings.warn("constant binary response carries no order information", RuntimeWarning)
+        raise ValueError(
+            "constant (all-0 or all-1) binary response: the marginal likelihoods "
+            "diverge under the flat level prior"
+        )
+    return spec
 
 
 @dataclass(frozen=True)
@@ -141,35 +160,10 @@ class BinaryFitConfig:
     scale: Optional[PredictorScale] = None
 
     def __post_init__(self) -> None:
-        if self.mc_draws < 1000:
-            raise ValueError(f"mc_draws must be >= 1000, got {self.mc_draws}")
+        if self.mc_draws < _MIN_DRAWS:
+            raise ValueError(f"mc_draws must be >= {_MIN_DRAWS}, got {self.mc_draws}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-
-
-def sigma_k(design: DesignMatrix, k: int, n: int | None = None) -> np.ndarray:
-    """Latent covariance I + (2n/(k+1)) P_k of the order-k probit model.
-
-    Parameters
-    ----------
-    design : DesignMatrix
-        Legendre design whose degree-1..k columns span the projection.
-    k : int
-        Model order, >= 1.
-    n : int, optional
-        Sample size; defaults to the design row count.
-
-    Returns
-    -------
-    np.ndarray
-        Symmetric positive definite (n, n) matrix with eigenvalues 1
-        (multiplicity n - k) and 1 + 2n/(k+1) (multiplicity k).
-    """
-    basis = _orthonormal_columns(design, k)
-    c = 2.0 * (design.n if n is None else n) / (k + 1.0)
-    out = c * (basis @ basis.T)
-    out[np.diag_indices_from(out)] += 1.0
-    return out
 
 
 def _orthonormal_columns(design: DesignMatrix, k: int) -> np.ndarray:
@@ -533,17 +527,11 @@ def binary_log_bf(
         Log Bayes factor, its delta-method standard error, and the
         bookkeeping of the run.
     """
-    spec = OrthantSpec.from_response(y)
+    spec = _two_sided_orthant(y)
     if spec.n != design.n:
         raise ValueError(f"response length {spec.n} does not match design rows")
-    if n_draws < 1000:
-        raise ValueError(f"n_draws must be >= 1000, got {n_draws}")
-    if np.unique(spec.signs).size < 2:
-        # prod Phi(+-lambda_0) -> 1 as the level runs off: both integrals diverge.
-        raise ValueError(
-            "all-0 or all-1 response: the marginal likelihoods diverge under "
-            "the flat level prior"
-        )
+    if n_draws < _MIN_DRAWS:
+        raise ValueError(f"n_draws must be >= {_MIN_DRAWS}, got {n_draws}")
     if k < 0:
         raise ValueError(f"k={k} outside [0, {design.order}]")
     if k == 0:
@@ -608,10 +596,7 @@ def fit_binary(
         config = BinaryFitConfig()
     marks = [time.perf_counter()]
     x, y, scale, design, prior = _prepare(x, y, config)
-    spec = OrthantSpec.from_response(y)
-    if np.unique(spec.signs).size < 2:
-        warnings.warn("constant binary response carries no order information", RuntimeWarning)
-        raise ValueError("constant binary response: every orthant is one-sided")
+    spec = _two_sided_orthant(y)
     n, n_max = x.size, design.order
     marks.append(time.perf_counter())
 

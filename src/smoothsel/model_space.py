@@ -16,25 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ModelIndex:
-    """One nested model: order k out of a space capped at max_order.
-
-    ``inclusion[j - 1]`` is True when the degree-j term is in the model,
-    for j = 1..max_order; a prefix pattern by construction.
-    """
-
-    k: int
-    max_order: int
-    inclusion: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.k <= self.max_order):
-            raise ValueError(f"order {self.k} outside [0, {self.max_order}]")
-        if self.inclusion.shape != (self.max_order,):
-            raise ValueError("inclusion vector length must equal max_order")
-
-
-@dataclass(frozen=True)
 class ModelPrior:
     """Prior over orders 0..max_order induced by Beta(a, b) inclusion."""
 
@@ -43,18 +24,6 @@ class ModelPrior:
     max_order: int
     probs: np.ndarray
     log_probs: np.ndarray
-
-
-def enumerate_models(max_order: int) -> list[ModelIndex]:
-    """All nested models gamma_0..gamma_N as prefix inclusion vectors."""
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    models = []
-    for k in range(max_order + 1):
-        inc = np.zeros(max_order, dtype=bool)
-        inc[:k] = True
-        models.append(ModelIndex(k=k, max_order=max_order, inclusion=inc))
-    return models
 
 
 def model_prior(max_order: int, a: float = 1.0, b: float = 1.0) -> ModelPrior:

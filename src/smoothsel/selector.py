@@ -230,47 +230,6 @@ def _bernstein_view(lam: np.ndarray, pair: TransformPair) -> tuple[np.ndarray, f
     return eta, (pair.order + 2) * np.finfo(float).eps * scale
 
 
-def bma_predictor(
-    mp: ModelPosterior,
-    lambda0_hat: float,
-    lambda_full: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Model-averaged predictive curve on the unit interval.
-
-    Averaging the per-model shrunken predictors over the posterior
-    collapses, for nested prefix models, to coordinatewise weights: each
-    full-model coefficient is damped by its shrunken inclusion probability.
-
-    Parameters
-    ----------
-    mp : ModelPosterior
-        Posterior summaries over orders.
-    lambda0_hat : float
-        Level estimate of the base model (the sample mean of y).
-    lambda_full : np.ndarray
-        (N,) least-squares Legendre coefficients of degrees 1..N under the
-        full model.
-    u : np.ndarray
-        Evaluation points in [0, 1].
-
-    Returns
-    -------
-    np.ndarray
-        The averaged curve at ``u``.
-    """
-    lambda_full = np.asarray(lambda_full, dtype=float)
-    if lambda_full.shape != (mp.max_order,):
-        raise ValueError(
-            f"expected {mp.max_order} full-model coefficients, got "
-            f"{lambda_full.shape}"
-        )
-    unit = PredictorScale(0.0, 1.0)
-    design = build_design(u, unit, mp.max_order, LEGENDRE)
-    weighted = mp.shrunken_inclusion * lambda_full
-    return lambda0_hat + design.values[:, 1:] @ weighted
-
-
 def predictive_loss(
     mp: ModelPosterior,
     k: int,

@@ -244,14 +244,13 @@ def _run_one(
     config: FitConfig,
     do_cv: bool,
     folds: int,
-    grid_size: int,
 ) -> SimulationRecord:
     x, y = generate(scenario, rep)
     a, b = scenario.domain
     scale = PredictorScale(a, b)
     result = fit(x, y, replace(config, scale=scale))
 
-    grid = np.linspace(a, b, grid_size)
+    grid = np.linspace(a, b, _GRID_SIZE)
     mu_grid = np.asarray(scenario.mu(grid), dtype=float)
     sn_bayes = float(np.max(np.abs(result.predict(grid) - mu_grid)))
     sn_full = float(np.max(np.abs(full_order_curve(result, grid) - mu_grid)))
@@ -313,7 +312,6 @@ def run_grid(
     include_timing: bool = True,
     config: FitConfig | None = None,
     folds: int = 5,
-    grid_size: int = _GRID_SIZE,
 ) -> list[SimulationRecord]:
     """Run every (scenario, rep) cell and stream records to CSV.
 
@@ -337,8 +335,6 @@ def run_grid(
         scenario's domain).
     folds : int
         CV fold count.
-    grid_size : int
-        Sup-norm grid resolution.
 
     Returns
     -------
@@ -357,7 +353,7 @@ def run_grid(
 
     def worker(task):
         sc, rep = task
-        return _run_one(sc, rep, config, do_cv, folds, grid_size)
+        return _run_one(sc, rep, config, do_cv, folds)
 
     cols = _columns(do_cv, include_timing)
     records: list[SimulationRecord] = []

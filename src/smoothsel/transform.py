@@ -101,25 +101,3 @@ def legendre_to_bernstein(lam: np.ndarray, pair: TransformPair) -> np.ndarray:
             f"coefficient length {lam.shape} does not match order {pair.order}"
         )
     return pair.q @ lam
-
-
-def bernstein_to_legendre(eta: np.ndarray, pair: TransformPair) -> np.ndarray:
-    """Map Bernstein ordinates to Legendre coefficients: lam = q_inv @ eta."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (pair.order + 1,):
-        raise ValueError(
-            f"coefficient length {eta.shape} does not match order {pair.order}"
-        )
-    return pair.q_inv @ eta
-
-
-def condition_diagnostic(pair: TransformPair) -> float:
-    """Infinity-norm condition number ||q||_inf * ||q_inv||_inf.
-
-    Grows roughly like the central binomial coefficient of the order, which
-    is why coefficient round trips at high order are reported rather than
-    silently trusted.
-    """
-    norm_q = float(np.max(np.sum(np.abs(pair.q), axis=1)))
-    norm_qi = float(np.max(np.sum(np.abs(pair.q_inv), axis=1)))
-    return norm_q * norm_qi

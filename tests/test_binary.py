@@ -18,13 +18,13 @@ from smoothsel.binary import (
     _SEPARATION_LIMIT,
     BinaryFitConfig,
     OrthantSpec,
+    _loadings,
     _newton_mode,
     _orthonormal_columns,
     _sample_nodes,
     binary_log_bf,
     fit_binary,
     orthant_probability,
-    sigma_k,
 )
 from smoothsel.gprior import _normalized_posterior
 from smoothsel.model_space import model_prior
@@ -70,6 +70,12 @@ class TestBinaryFitConfig:
             BinaryFitConfig(seed=-1)
 
 
+def sigma_k(design, k):
+    """Latent covariance I + F F' of the order-k model, from the sampler's loadings."""
+    f = _loadings(_orthonormal_columns(design, k), k)
+    return np.eye(design.n) + f @ f.T
+
+
 class TestSigmaK:
     def test_single_column_eigenvalues(self):
         # n=4, k=1: the projector contributes one eigenvalue 1 + 2n/(k+1).
@@ -94,19 +100,13 @@ class TestSigmaK:
         )
         np.testing.assert_allclose(eigs, expected, atol=1e-10)
 
-    def test_explicit_sample_size_overrides_scale(self):
-        design = legendre_design(10, 1, seed=1)
-        cov = sigma_k(design, 1, n=40)
-        top = np.max(np.linalg.eigvalsh(cov))
-        assert top == pytest.approx(1.0 + 2.0 * 40 / 2, abs=1e-10)
-
     def test_rank_deficiency_rejected(self):
         # Two distinct predictor values support only two independent
         # degree columns; asking for three must fail loudly.
         x = np.array([0.2, 0.2, 0.2, 0.8, 0.8, 0.8])
         design = build_design(x, UNIT, 3, "legendre")
         with pytest.raises(ValueError, match="rank-deficient"):
-            sigma_k(design, 3)
+            _orthonormal_columns(design, 3)
 
 
 class TestOrthantProbability:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import smoothsel.cli
 from smoothsel.cli import main
 
 
@@ -116,6 +117,17 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["omega_prior"]["kind"] == "zellner-siow"
+
+    def test_linalg_error_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it is still a numeric failure.
+        def failing_fit(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(smoothsel.cli, "fit", failing_fit)
+        data = tmp_path / "d.csv"
+        write_xy(data, np.linspace(0, 1, 30), np.linspace(0, 1, 30) ** 2)
+        assert main(["fit", str(data)]) == 3
+        assert "numeric failure: Matrix is not positive definite" in capsys.readouterr().err
 
 
 class TestSimulateAndCompare:

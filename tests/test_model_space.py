@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothsel.model_space import ModelIndex, enumerate_models, model_prior
+from smoothsel.model_space import model_prior
 
 
 class TestModelPrior:
@@ -45,28 +45,3 @@ class TestModelPrior:
             model_prior(3, 1.0, -2.0)
         with pytest.raises(ValueError):
             model_prior(-1, 1.0, 1.0)
-
-
-class TestEnumerateModels:
-    def test_single_model(self):
-        models = enumerate_models(0)
-        assert len(models) == 1
-        assert models[0].k == 0
-
-    def test_order_two_prefixes(self):
-        models = enumerate_models(2)
-        got = [tuple(m.inclusion) for m in models]
-        assert got == [(False, False), (True, False), (True, True)]
-
-    def test_prefix_validity_at_large_order(self):
-        models = enumerate_models(21)
-        assert len(models) == 22
-        for m in models:
-            inc = np.asarray(m.inclusion)
-            assert inc[: m.k].all() and not inc[m.k :].any()
-
-    def test_model_index_validation(self):
-        with pytest.raises(ValueError):
-            ModelIndex(k=3, max_order=2, inclusion=np.zeros(2, dtype=bool))
-        with pytest.raises(ValueError):
-            ModelIndex(k=1, max_order=4, inclusion=np.zeros(3, dtype=bool))

@@ -120,11 +120,10 @@ def _two_sided_orthant(y: np.ndarray) -> OrthantSpec:
 
     For an all-0 or all-1 response prod Phi(+-lambda_0) -> 1 as the level
     runs off, so every marginal likelihood diverges under the flat level
-    prior: such a response warns and raises.
+    prior: such a response raises.
     """
     spec = OrthantSpec.from_response(y)
     if np.unique(spec.signs).size < 2:
-        warnings.warn("constant binary response carries no order information", RuntimeWarning)
         raise ValueError(
             "constant (all-0 or all-1) binary response: the marginal likelihoods "
             "diverge under the flat level prior"
@@ -625,9 +624,7 @@ def fit_binary(
             log_bf[k] = log_num - log_den
             screened[k] = False
         best = float(np.max(log_bf + prior.log_probs))
-    posterior, inclusion = _normalized_posterior(
-        log_bf + prior.log_probs, np.ones(n_max + 1, dtype=bool)
-    )
+    posterior, inclusion = _normalized_posterior(log_bf + prior.log_probs)
     selected = _mpm_order(inclusion)
     marks.append(time.perf_counter())
 

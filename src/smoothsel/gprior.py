@@ -22,7 +22,6 @@ ratio of two quadratures over identical nodes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import lgamma
 from typing import Callable, NamedTuple
@@ -385,6 +384,12 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     )
 
 
+def _check_order(n: int, k: int) -> None:
+    """Reject an order k that leaves n - k - 1 < 2 residual degrees of freedom."""
+    if n <= k + 2:
+        raise ValueError(f"need n > k + 2 observations, got n={n}, k={k}")
+
+
 def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
     """Coefficient of determination of the order-k model, on centered data.
 
@@ -414,8 +419,7 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
-    if n <= k + 2:
-        raise ValueError(f"need n > k + 2 observations, got n={n}, k={k}")
+    _check_order(n, k)
     factor = _factorize(y, design.values[:, 1 : k + 1])
     r2, log1m_r2 = factor.r2()[k], factor.log1m_r2()[k]
     return ModelFitStats(n=n, q0=1, qk=k + 1, r2=float(r2), log1m_r2=float(log1m_r2))
@@ -574,8 +578,7 @@ class ModelPosterior:
     n : int
         Sample size.
     log_bf : np.ndarray
-        (N + 1,) log Bayes factors against the base model; NaN for models
-        excluded by the saturation guard.
+        (N + 1,) log Bayes factors against the base model.
     posterior : np.ndarray
         (N + 1,) posterior probabilities over orders; sums to 1.
     inclusion : np.ndarray
@@ -587,12 +590,10 @@ class ModelPosterior:
         shrinkage factors.
     r2 : np.ndarray
         (N + 1,) coefficient of determination per order (r2[0] = 0).
-    excluded : tuple
-        Orders removed by the saturation guard q_k >= n - q0.
     quadrature_centre, quadrature_scale : np.ndarray or None
         (N + 1,) centre and scale in v of each order's quadrature rule
-        (nodes at centre + scale sinh(z)); NaN for excluded orders, None
-        for a posterior not built by the quadrature.
+        (nodes at centre + scale sinh(z)); None for a posterior not built
+        by the quadrature.
     """
 
     max_order: int
@@ -603,7 +604,6 @@ class ModelPosterior:
     shrinkage: np.ndarray
     shrunken_inclusion: np.ndarray
     r2: np.ndarray
-    excluded: tuple
     quadrature_centre: np.ndarray | None = None
     quadrature_scale: np.ndarray | None = None
 
@@ -621,7 +621,8 @@ def model_posterior(
     y : np.ndarray
         Response vector.
     design : DesignMatrix
-        Legendre design whose order equals ``prior.max_order``.
+        Legendre design whose order equals ``prior.max_order``; requires
+        n > order + 2.
     prior : ModelPrior
         Prior over orders from :func:`model_prior`.
     omega_prior : OmegaPrior
@@ -630,9 +631,8 @@ def model_posterior(
     Returns
     -------
     ModelPosterior
-        Probabilities, inclusion curves and shrinkage factors; orders whose
-        parameter count reaches n - q0 are excluded with a warning and
-        carry zero posterior mass.
+        Probabilities, inclusion curves and shrinkage factors of every
+        order 0..N.
     """
     if design.basis != LEGENDRE:
         raise ValueError("model_posterior requires a Legendre design")
@@ -645,21 +645,18 @@ def model_posterior(
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
+    _check_order(n, design.order)
     factor = _factorize(y, design.values[:, 1:])
     return _posterior_from_r2(n, factor.r2(), factor.log1m_r2(), prior, omega_prior)
 
 
-def _normalized_posterior(
-    log_post: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_posterior(log_post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior over orders 0..N from unnormalized log masses, and inclusion.
 
-    Orders outside the boolean mask ``keep`` get zero mass; inclusion[j - 1]
-    is the posterior probability that degree j is in the model.
+    inclusion[j - 1] is the posterior probability that degree j is in the
+    model.
     """
-    log_post = log_post - logsumexp(log_post[keep])
-    posterior = np.exp(log_post)
-    posterior[~keep] = 0.0
+    posterior = np.exp(log_post - logsumexp(log_post))
     posterior /= posterior.sum()
     # Degree j belongs to every model of order >= j: tail sums.
     tail = np.cumsum(posterior[::-1])[::-1]
@@ -679,35 +676,14 @@ def _posterior_from_r2(
     which keeps its digits where r2 rounds to 1.
     """
     n_max = r2.size - 1
-    q0 = 1
     ks = np.arange(n_max + 1)
-    qk = ks + 1
-    keep = qk < n - q0
-    excluded = tuple(int(k) for k in ks[~keep])
-    if excluded:
-        warnings.warn(
-            f"orders {excluded} have as many parameters as degrees of freedom "
-            f"(q_k >= n - q0) and were excluded from the model space",
-            RuntimeWarning,
-        )
-    if not keep[0]:
-        raise ValueError(f"sample size n={n} too small for even the base model")
-    kept = ks[keep]
-    _reject_zero_residual(kept, r2[keep], log1m_r2[keep])
-    # The base model rides along with a unit kernel so its shrinkage
-    # factor comes from the same node set as everyone else's.
-    log_bf, xi, centre, scale = (np.full(n_max + 1, np.nan) for _ in range(4))
-    log_bf[kept], xi[kept], centre[kept], scale[kept] = _batched_bf(
-        n, q0, qk[kept], log1m_r2[kept], omega_prior
-    )
+    _reject_zero_residual(ks, r2, log1m_r2)
+    # The base model (q0 = 1 parameter) rides along with a unit kernel so
+    # its shrinkage factor comes from the same node set as everyone else's.
+    log_bf, xi, centre, scale = _batched_bf(n, 1, ks + 1, log1m_r2, omega_prior)
     log_bf[0] = 0.0
-
-    log_post = np.full(n_max + 1, -np.inf)
-    log_post[kept] = log_bf[kept] + prior.log_probs[kept]
-    posterior, inclusion = _normalized_posterior(log_post, keep)
-    xi_weighted = np.where(keep, xi * posterior, 0.0)
-    tail_shrunk = np.cumsum(xi_weighted[::-1])[::-1]
-    shrunken_inclusion = tail_shrunk[1:].copy()
+    posterior, inclusion = _normalized_posterior(log_bf + prior.log_probs)
+    tail_shrunk = np.cumsum((xi * posterior)[::-1])[::-1]
 
     return ModelPosterior(
         max_order=n_max,
@@ -716,9 +692,8 @@ def _posterior_from_r2(
         posterior=posterior,
         inclusion=inclusion,
         shrinkage=xi,
-        shrunken_inclusion=shrunken_inclusion,
+        shrunken_inclusion=tail_shrunk[1:].copy(),
         r2=r2,
-        excluded=excluded,
         quadrature_centre=centre,
         quadrature_scale=scale,
     )

@@ -54,8 +54,9 @@ class FitConfig:
         predictive loss model term).
     cap : int
         Upper bound on the maximum order; the working bound is
-        min(floor(n^(2/3)), cap, n - 3, d - 1) for d distinct predictor
-        values, with a RuntimeWarning when d - 1 is the binding term.
+        min(floor(n^(2/3)), cap, d - 1) for d distinct predictor values,
+        with a RuntimeWarning when d - 1 binds.  It never exceeds n - 3,
+        since floor(n^(2/3)) <= n - 3 for every n >= 5.
     scale : PredictorScale, optional
         Explicit predictor interval; defaults to the data range.
     """
@@ -167,8 +168,11 @@ def _mpm_order(inclusion: np.ndarray) -> int:
 
 
 def _order_bound(x: np.ndarray, cap: int) -> int:
-    """Largest order fitted to x: min(floor(n^(2/3)), cap, n - 3, #distinct - 1)."""
-    bound = min(max_order(x.size, cap), x.size - 3)
+    """Largest order fitted to x: min(floor(n^(2/3)), cap, #distinct - 1).
+
+    It never exceeds n - 3: floor(n^(2/3)) <= n - 3 for every n >= ``_MIN_SAMPLE``.
+    """
+    bound = max_order(x.size, cap)
     distinct = np.unique(x).size
     if distinct - 1 < bound:
         warnings.warn(
@@ -246,8 +250,6 @@ def predictive_loss(
     """
     if not (0 <= k <= mp.max_order):
         raise ValueError(f"order {k} outside [0, {mp.max_order}]")
-    if k in mp.excluded:
-        raise ValueError(f"order {k} was excluded by the saturation guard")
     dj = np.asarray(dj, dtype=float)
     lambda_full = np.asarray(lambda_full, dtype=float)
     if dj.shape != (mp.max_order,) or lambda_full.shape != (mp.max_order,):
@@ -276,13 +278,13 @@ def loss_equivalence_diagnostic(
         _losses(mp, dj, lambda_full, shrunken=True)
         - _losses(mp, dj, lambda_full, shrunken=False)
     )
-    return float(np.nanmax(gaps))
+    return float(np.max(gaps))
 
 
 def _losses(
     mp: ModelPosterior, dj: np.ndarray, lambda_full: np.ndarray, shrunken: bool
 ) -> np.ndarray:
-    """:func:`predictive_loss` at every order in one broadcast; NaN where excluded.
+    """:func:`predictive_loss` at every order in one broadcast.
 
     Row k repeats the reference's arithmetic term by term, so the values
     are identical to calling it order by order.
@@ -299,9 +301,7 @@ def _losses(
     else:
         probs, xi = mp.inclusion, np.ones(n_max + 1)
     weights = (lambda_full * dj) ** 2
-    losses = np.sum(weights * (probs[None, :] - xi[:, None] * gamma) ** 2, axis=1)
-    losses[list(mp.excluded)] = np.nan
-    return losses
+    return np.sum(weights * (probs[None, :] - xi[:, None] * gamma) ** 2, axis=1)
 
 
 def fit(
@@ -360,7 +360,7 @@ def fit(
     if config.rule == RULE_MPM:
         selected = median_probability_order(mp)
     else:
-        selected = int(np.nanargmin(unit_losses))
+        selected = int(np.argmin(unit_losses))
     with np.errstate(over="ignore"):
         losses = np.ldexp(unit_losses, 2 * exp2)
         loss_equivalence = float(
@@ -381,7 +381,6 @@ def fit(
         "r2": mp.r2,
         "loss": losses,
         "loss_equivalence": loss_equivalence,
-        "excluded": list(mp.excluded),
         "lambda_full": lambda_full,
         "col_means": factor.col_means,
         "ybar": factor.ybar,

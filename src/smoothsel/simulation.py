@@ -209,21 +209,19 @@ def sup_norm(
 
 
 def full_order_curve(result: FitResult, grid: np.ndarray) -> np.ndarray:
-    """Shrunken curve of the largest admissible order, for overfit checks.
+    """Shrunken curve of the largest order, for overfit checks.
 
     Evaluated in the Legendre basis: at order 60 the Bernstein transform's
     condition number is about 1e17, which would bury the curve in rounding.
     """
     diag = result.diagnostics
-    excluded = set(diag.get("excluded", ()))
-    k_full = max(k for k in range(result.max_order + 1) if k not in excluded)
     lam = _shrunken_legendre(
-        np.asarray(diag["lambda_full"], dtype=float)[:k_full],
-        float(result.shrinkage[k_full]),
+        np.asarray(diag["lambda_full"], dtype=float),
+        float(result.shrinkage[result.max_order]),
         np.asarray(diag["col_means"], dtype=float),
         float(diag["ybar"]),
     )
-    return build_design(grid, result.scale, k_full, LEGENDRE).values @ lam
+    return build_design(grid, result.scale, result.max_order, LEGENDRE).values @ lam
 
 
 def _ls_curve(

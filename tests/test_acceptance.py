@@ -261,7 +261,6 @@ def _synthetic_posterior(posterior, xi):
         shrinkage=xi,
         shrunken_inclusion=weighted[1:].copy(),
         r2=np.zeros(posterior.size),
-        excluded=(),
     )
 
 

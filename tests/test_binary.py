@@ -363,9 +363,10 @@ class TestFitBinary:
         assert result.diagnostics["refit_newton_converged"] is True
         assert calls == {"qr": 1, "newton": result.max_order + 2}
 
-    def test_constant_response_rejected_with_warning(self):
+    def test_constant_response_rejected(self):
         x = np.linspace(0, 1, 30)
-        with pytest.warns(RuntimeWarning, match="constant"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="constant"):
                 fit_binary(x, np.ones(30, dtype=int), BinaryFitConfig(mc_draws=1000))
 
@@ -508,7 +509,7 @@ class TestLaplaceScreening:
         for _, result, full in screened_fits:
             log_post = np.array([est.log_bf for est in full])
             log_post += model_prior(result.max_order).log_probs
-            oracle, inclusion = _normalized_posterior(log_post, np.ones(log_post.size, dtype=bool))
+            oracle, inclusion = _normalized_posterior(log_post)
             mass = result.diagnostics["screened_mass"]
             assert 0.0 <= mass <= result.max_order * np.exp(-_SCREEN_NATS)
             assert np.max(np.abs(result.posterior - oracle)) <= mass + 1e-12

@@ -378,8 +378,6 @@ def test_per_model_api_matches_fit(snr, rel_tol):
     result = fit(x, y, config)
     design = build_design(x, UNIT, result.max_order, "legendre")
     for k in range(1, result.max_order + 1):
-        if k in result.diagnostics["excluded"]:
-            continue
         stats = fit_stats(y, design, k)
         got = log_bayes_factor(stats, config.omega_prior)
         want = result.diagnostics["log_bf"][k]
@@ -388,6 +386,25 @@ def test_per_model_api_matches_fit(snr, rel_tol):
         assert shrinkage(stats, config.omega_prior) == pytest.approx(
             result.shrinkage[k], rel=1e-12, abs=0.0
         ), k
+
+
+@pytest.mark.parametrize("name", KINDS)
+@pytest.mark.parametrize("fn", ["poly5", "pwlinear"])
+def test_model_posterior_matches_fit(fn, name):
+    # The public entry and fit share one factorization and one posterior
+    # path, so a fit's own design and order prior give its numbers exactly.
+    x, y = generate(Scenario(fn, 300, 2.0, 1, 0), 0)
+    config = FitConfig(omega_prior=OmegaPrior.from_name(name))
+    result = fit(x, y, config)
+    design = build_design(x, result.scale, result.max_order, "legendre")
+    prior = model_prior(result.max_order, config.prior_a, config.prior_b)
+    mp = model_posterior(y, design, prior, config.omega_prior)
+    diag = result.diagnostics
+    np.testing.assert_array_equal(mp.posterior, result.posterior)
+    np.testing.assert_array_equal(mp.log_bf, diag["log_bf"])
+    np.testing.assert_array_equal(mp.shrinkage, result.shrinkage)
+    np.testing.assert_array_equal(mp.quadrature_centre, diag["quadrature_centre"])
+    np.testing.assert_array_equal(mp.quadrature_scale, diag["quadrature_scale"])
 
 
 class TestShrinkage:
@@ -502,21 +519,18 @@ class TestModelPosterior:
         assert np.all(mp.shrunken_inclusion <= mp.inclusion + 1e-12)
         assert np.all(mp.shrinkage > 0.0) and np.all(mp.shrinkage <= 1.0)
 
-    def test_small_sample_excludes_saturating_orders(self):
+    def test_saturating_order_rejected(self):
+        # Order 4 of 6 observations leaves one residual degree of freedom:
+        # the public entry and the per-model statistics reject it alike.
         x = np.array([0.05, 0.2, 0.4, 0.6, 0.8, 0.95])
+        y = np.random.default_rng(3).standard_normal(6)
         design = build_design(x, UNIT, 4, "legendre")
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal(6)
-        with pytest.warns(RuntimeWarning, match="excluded"):
-            mp = model_posterior(
-                y, design, model_prior(4), OmegaPrior.intrinsic()
-            )
-        assert mp.excluded == (4,)
-        assert mp.posterior[4] == 0.0
-        assert np.isnan(mp.log_bf[4])
-        assert np.isnan(mp.quadrature_centre[4]) and np.isnan(mp.quadrature_scale[4])
-        assert np.all(np.isfinite(mp.quadrature_centre[:4]))
-        assert np.all(np.isfinite(mp.quadrature_scale[:4]))
+        with pytest.raises(ValueError, match=r"need n > k \+ 2 observations, got n=6, k=4"):
+            model_posterior(y, design, model_prior(4), OmegaPrior.intrinsic())
+        with pytest.raises(ValueError, match=r"need n > k \+ 2 observations, got n=6, k=4"):
+            fit_stats(y, design, 4)
+        mp = self.make_posterior(y, x, 3)
+        assert np.all(np.isfinite(mp.log_bf))
         assert mp.posterior.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_design_and_prior_order_must_match(self):

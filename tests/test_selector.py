@@ -3,17 +3,17 @@
 import json
 import os
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from smoothsel.basis import PredictorScale, build_design
+from smoothsel.basis import _ORDER_CAP, PredictorScale, build_design, max_order
 from smoothsel.binary import BinaryFitConfig, fit_binary
 from smoothsel.gprior import ModelPosterior, OmegaPrior
 from smoothsel.selector import (
+    _MIN_SAMPLE,
     FitConfig,
     _available_cores,
     _bernstein_view,
@@ -76,7 +76,7 @@ class TestBernsteinErrorBound:
             assert max(err) <= Fraction(bound)
 
 
-def make_mp(posterior, shrinkage=None, excluded=()):
+def make_mp(posterior, shrinkage=None):
     """Hand-built ModelPosterior with inclusion curves consistent with
     the given posterior vector (tail sums, shrinkage-weighted tails)."""
     posterior = np.asarray(posterior, dtype=float)
@@ -95,7 +95,6 @@ def make_mp(posterior, shrinkage=None, excluded=()):
         shrinkage=shrinkage,
         shrunken_inclusion=weighted[1:].copy(),
         r2=np.zeros(n_models),
-        excluded=tuple(excluded),
     )
 
 
@@ -169,50 +168,40 @@ class TestPredictiveLoss:
             )
 
     def test_validation(self):
-        mp = make_mp([0.5, 0.3, 0.2], excluded=(2,))
+        mp = make_mp([0.5, 0.3, 0.2])
         dj = np.ones(2)
         lam = np.ones(2)
         with pytest.raises(ValueError):
             predictive_loss(mp, 3, dj, lam)
         with pytest.raises(ValueError):
-            predictive_loss(mp, 2, dj, lam)
-        with pytest.raises(ValueError):
             predictive_loss(mp, 1, np.ones(3), lam)
 
 
 def loop_losses(mp, dj, lam, shrunken):
-    """Reference: predictive_loss order by order, NaN at excluded orders."""
+    """Reference: predictive_loss order by order."""
     return np.array(
-        [
-            np.nan if k in mp.excluded else predictive_loss(mp, k, dj, lam, shrunken)
-            for k in range(mp.max_order + 1)
-        ]
+        [predictive_loss(mp, k, dj, lam, shrunken) for k in range(mp.max_order + 1)]
     )
 
 
 def loop_loss_equivalence(mp, dj, lam):
-    """Reference: the sup of |shrunken - plain| over included orders."""
+    """Reference: the sup of |shrunken - plain| over all orders."""
     return max(
         abs(
             predictive_loss(mp, k, dj, lam, shrunken=True)
             - predictive_loss(mp, k, dj, lam, shrunken=False)
         )
         for k in range(mp.max_order + 1)
-        if k not in mp.excluded
     )
 
 
 class TestLossBroadcast:
-    @pytest.mark.parametrize("excluded", [(), (5,), (4, 5)])
-    def test_identical_to_the_reference_loop(self, excluded):
+    def test_identical_to_the_reference_loop(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             xi = rng.uniform(0.2, 1.0, 6)
-            xi[list(excluded)] = np.nan
             post = rng.dirichlet(np.ones(6))
-            post[list(excluded)] = 0.0
-            mp = make_mp(post, shrinkage=np.nan_to_num(xi), excluded=excluded)
-            mp = replace(mp, shrinkage=xi)
+            mp = make_mp(post, shrinkage=xi)
             dj = rng.uniform(0.5, 3.0, 5)
             lam = rng.normal(0.0, 2.0, 5)
             for shrunken in (True, False):
@@ -344,14 +333,13 @@ class TestFit:
             shrinkage=result.shrinkage,
             shrunken_inclusion=diag["shrunken_inclusion"],
             r2=diag["r2"],
-            excluded=tuple(diag["excluded"]),
         )
         columns = build_design(x, result.scale, result.max_order, "legendre").values[:, 1:]
         dj = np.einsum("ij,ij->j", columns, columns)
         lam = diag["lambda_full"]
         np.testing.assert_array_equal(diag["loss"], loop_losses(mp, dj, lam, True))
         assert diag["loss_equivalence"] == loop_loss_equivalence(mp, dj / x.size, lam)
-        assert result.selected_order == int(np.nanargmin(diag["loss"]))
+        assert result.selected_order == int(np.argmin(diag["loss"]))
 
     @pytest.mark.parametrize("n", [60, 500])
     def test_coefficients_match_least_squares_oracle(self, n):
@@ -425,6 +413,27 @@ class TestFit:
         tiny = fit(x[:8], y[:8])
         assert tiny.max_order <= 5
 
+    def test_order_bound_leaves_two_residual_degrees_of_freedom(self):
+        # The Bayes factors need n > k + 2; floor(n^(2/3)) <= n - 3 from the
+        # smallest sample a fit takes on, whatever the cap.
+        ns = np.arange(_MIN_SAMPLE, 10**5 + 1)
+        for cap in (1, 8, _ORDER_CAP, 10**6):
+            bounds = np.array([max_order(int(n), cap) for n in ns])
+            assert np.all(bounds <= ns - 3), cap
+
+    @pytest.mark.parametrize("n, order", [(5, 2), (6, 3)])
+    def test_smallest_samples_fit_every_order(self, n, order):
+        x = np.linspace(0.0, 1.0, n)
+        y = np.random.default_rng(n).standard_normal(n)
+        for name in ("intrinsic", "zellner-siow", "hyper-g"):
+            for rule in ("mpm", "loss"):
+                config = FitConfig(omega_prior=OmegaPrior.from_name(name), rule=rule)
+                result = fit(x, y, config)
+                assert result.max_order == order
+                diag = result.diagnostics
+                for key in ("log_bf", "loss", "quadrature_centre", "quadrature_scale"):
+                    assert np.all(np.isfinite(diag[key])), (name, rule, key)
+
     def test_input_validation(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(10)
@@ -448,7 +457,6 @@ class TestFit:
         assert diag["loss"].shape == (n_models,)
         assert diag["r2"].shape == (n_models,)
         assert diag["lambda_full"].shape == (result.max_order,)
-        assert diag["excluded"] == []
         assert diag["loss_equivalence"] >= 0.0
         assert diag["ybar"] == pytest.approx(float(y.mean()))
         assert result.posterior.sum() == pytest.approx(1.0, abs=1e-10)

@@ -443,6 +443,15 @@ _Z_STEP = 0.08
 _Z = _Z_STEP * np.arange(-69, 70)
 
 
+def _sinh_rule(centre: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v = centre + scale sinh(z) of the fixed rule, and their log weights.
+
+    Both are (139, K) for K centres and scales; the weights are the trapezoid
+    weights in z times the Jacobian dv/dz.
+    """
+    return centre + scale * np.sinh(_Z)[:, None], np.log(_Z_STEP * scale * np.cosh(_Z)[:, None])
+
+
 def _log_kernel(
     log_g: np.ndarray, n: int, q0: int, qk: np.ndarray, log1m_r2: np.ndarray
 ) -> np.ndarray:
@@ -505,8 +514,8 @@ def _batched_bf(
         return _log_kernel(log_g, n, q0, qk, log1m_r2) + omega_prior.log_weight(v)
 
     centre, scale = _peak(log_f, log1m_r2)
-    v = centre + scale * np.sinh(_Z)[:, None]
-    log_terms = log_f(v) + np.log(_Z_STEP * scale * np.cosh(_Z)[:, None])
+    v, log_weights = _sinh_rule(centre, scale)
+    log_terms = log_f(v) + log_weights
     top = log_terms.max(axis=0)
     terms = np.exp(log_terms - top)
     total = terms.sum(axis=0)

@@ -197,13 +197,10 @@ def sup_norm(
     fit_curve: Callable[[np.ndarray], np.ndarray],
     mean_fn: str | Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
-    grid_size: int = _GRID_SIZE,
 ) -> float:
     """Max absolute gap between a fitted curve and the true mean on a grid."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     fn = _tagged(mean_fn)[0] if isinstance(mean_fn, str) else mean_fn
-    grid = np.linspace(float(domain[0]), float(domain[1]), grid_size)
+    grid = np.linspace(float(domain[0]), float(domain[1]), _GRID_SIZE)
     gap = np.asarray(fit_curve(grid), dtype=float) - np.asarray(fn(grid), dtype=float)
     return float(np.max(np.abs(gap)))
 
@@ -244,14 +241,11 @@ def _run_one(
     folds: int,
 ) -> SimulationRecord:
     x, y = generate(scenario, rep)
-    a, b = scenario.domain
-    scale = PredictorScale(a, b)
+    scale = PredictorScale(*scenario.domain)
     result = fit(x, y, replace(config, scale=scale))
 
-    grid = np.linspace(a, b, _GRID_SIZE)
-    mu_grid = np.asarray(scenario.mu(grid), dtype=float)
-    sn_bayes = float(np.max(np.abs(result.predict(grid) - mu_grid)))
-    sn_full = float(np.max(np.abs(full_order_curve(result, grid) - mu_grid)))
+    sn_bayes = sup_norm(result.predict, scenario.mu, scenario.domain)
+    sn_full = sup_norm(lambda g: full_order_curve(result, g), scenario.mu, scenario.domain)
 
     order_cv = sn_cv = time_cv = None
     if do_cv:
@@ -259,7 +253,9 @@ def _run_one(
             x, y, result.max_order, folds=folds, seed=scenario.seed * 1_000_003 + rep
         )
         order_cv = cv.selected_order
-        sn_cv = float(np.max(np.abs(_ls_curve(x, y, scale, order_cv, grid) - mu_grid)))
+        sn_cv = sup_norm(
+            lambda g: _ls_curve(x, y, scale, order_cv, g), scenario.mu, scenario.domain
+        )
         time_cv = cv.wall_clock
 
     return SimulationRecord(

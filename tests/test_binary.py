@@ -19,10 +19,12 @@ from smoothsel.binary import (
     _SEPARATION_LIMIT,
     BinaryFitConfig,
     OrthantSpec,
+    _importance_sample,
+    _joint_mode,
+    _joint_terms,
     _loadings,
     _newton_mode,
     _orthonormal_columns,
-    _sample_nodes,
     binary_log_bf,
     fit_binary,
     orthant_probability,
@@ -387,7 +389,7 @@ class TestFitBinary:
 
 
 class TestParallelSampler:
-    """The orthant-mass kernel runs in node blocks on a thread pool."""
+    """The orthant-mass kernel runs in blocks of draws on a thread pool."""
 
     @staticmethod
     def fit_fields(result):
@@ -418,31 +420,33 @@ class TestParallelSampler:
             np.testing.assert_array_equal(got, want)
 
     def test_partial_last_block_matches_one_block(self, monkeypatch):
-        # 13 nodes: one full block of 8 and a last block of 5, against the
-        # whole latent matrix as one block in the calling thread.
-        n, k, n_nodes = 40, 2, 13
-        loadings = _orthonormal_columns(legendre_design(n, k, seed=6), k) * 4.0
+        # 1300 draws: two full blocks of 512 rows and a last block of 276,
+        # against the whole latent matrix as one block in the calling thread.
+        n, k, n_draws = 40, 2, 1300
+        loadings = _loadings(_orthonormal_columns(legendre_design(n, k, seed=6), k), k)
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
-        lam_nodes = np.linspace(-1.0, 0.5, n_nodes)
-        means = np.outer(lam_nodes, [0.3, -0.2])
-        args = (spec, loadings, lam_nodes, means, 0.8 * np.eye(k), 2 * np.log(0.8), 6, 4, k)
+        mode = _joint_mode(spec, loadings)
+
+        def run():
+            return _importance_sample(
+                spec.signs, *_joint_terms(loadings), mode, n_draws, np.random.default_rng([4, k])
+            )
+
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
-        assert n_nodes % binary_module._NODE_BLOCK != 0
-        blocked = _sample_nodes(*args)
-        monkeypatch.setattr(binary_module, "_NODE_BLOCK", n_nodes)
+        assert n_draws % binary_module._ROW_BLOCK != 0
+        blocked = run()
+        monkeypatch.setattr(binary_module, "_ROW_BLOCK", n_draws)
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
-        whole = _sample_nodes(*args)
-        for got, want in zip(blocked, whole):
-            np.testing.assert_array_equal(got, want)
+        assert blocked == run()
 
     def test_single_node_orthant_probability_unchanged(self):
-        # One node and 2000 antithetic pairs: the values of the unblocked
-        # kernel, to the last few digits libm may move.
+        # 2000 antithetic pairs from the stream keyed by (seed, k): the
+        # values of the unblocked kernel, to the last few digits libm may move.
         f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
         lp, se = orthant_probability(spec, -0.3, f, n_draws=4000, seed=3)
         assert lp == pytest.approx(-2.9933927336627253, rel=1e-12)
-        assert se == pytest.approx(0.004919413722407679, rel=1e-9)
+        assert se == pytest.approx(0.004919413722407682, rel=1e-9)
 
     def test_no_worker_outlives_the_fit(self, monkeypatch):
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
@@ -560,9 +564,11 @@ class TestLaplaceScreening:
         assert_laplace_error_within_slack(*signal_probit_fit(mean_pwlinear, (-3.0, 3.0), 300, 1))
 
     @pytest.mark.slow
-    def test_laplace_error_within_the_slack_at_n1000(self):
-        # The largest shortfall measured: about 3.7 nats, at order 59.
-        assert_laplace_error_within_slack(*signal_probit_fit(mean_poly5, (0.0, 1.0), 1000, 0))
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_laplace_error_within_the_slack_at_n1000(self, rep):
+        # The largest shortfalls measured: 3.98 nats at order 54 (rep 0) and
+        # 4.11 at order 37 (rep 1), the second from one heavy importance weight.
+        assert_laplace_error_within_slack(*signal_probit_fit(mean_poly5, (0.0, 1.0), 1000, rep))
 
     def test_mc_ess_only_for_monte_carlo_orders(self, screened_fits):
         for _, result, full in screened_fits:

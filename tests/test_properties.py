@@ -62,11 +62,28 @@ def test_selection_invariant_under_row_permutation(rule, perm):
 
 
 @lru_cache(maxsize=None)
-def probit_fit():
+def probit_sample():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 1.0, 60)
     y = (rng.uniform(size=60) < ndtr(2.0 * x - 1.0)).astype(int)
-    return fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
+    return x, y
+
+
+@lru_cache(maxsize=None)
+def probit_fit():
+    return fit_binary(*probit_sample(), BinaryFitConfig(mc_draws=1000, seed=0))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16))
+def test_probit_selection_invariant_under_label_flip(seed):
+    # Flipping y negates the joint mode and swaps the halves of every
+    # antithetic pair, so the Monte Carlo estimates agree to rounding.
+    x, y = probit_sample()
+    config = BinaryFitConfig(mc_draws=1000, seed=seed)
+    result, flipped = fit_binary(x, y, config), fit_binary(x, 1 - y, config)
+    assert_same_selection(flipped, result)
+    assert np.max(np.abs(flipped.diagnostics["log_bf"] - result.diagnostics["log_bf"])) <= 1e-9
 
 
 FITS = {"identity": lambda: base_fit("mpm"), "probit": probit_fit}

@@ -149,10 +149,6 @@ class TestSupNorm:
         got = sup_norm(shifted, "pwlinear", (-3.0, 3.0))
         assert got == pytest.approx(0.3, abs=1e-12)
 
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            sup_norm(mean_poly5, "poly5", (0.0, 1.0), grid_size=1)
-
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown mean_fn tag"):
             sup_norm(mean_poly5, "poly7", (0.0, 1.0))

@@ -1,8 +1,11 @@
 """Probit latent-variable path: orthant estimator, binary BFs, fit_binary."""
 
+import importlib.util
 import json
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from smoothsel.binary import (
     _joint_mode,
     _joint_terms,
     _loadings,
+    _log_orthant_mass,
     _newton_mode,
     _orthonormal_columns,
     binary_log_bf,
@@ -36,6 +40,7 @@ from smoothsel.simulation import mean_poly5, mean_pwlinear
 from smoothsel.transform import build_transform
 
 UNIT = PredictorScale(0.0, 1.0)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def legendre_design(n, order, seed=0):
@@ -164,6 +169,67 @@ class TestOrthantProbability:
         spec = OrthantSpec.from_response(np.array([1, 0]))
         with pytest.raises(ValueError):
             orthant_probability(spec, 0.0, np.ones((3, 1)))
+
+
+def log_ndtr_row_sums(theta, a, signs, offset=0.0):
+    """The reference orthant-mass kernel: log Phi summed over each row."""
+    return log_ndtr(signs * (offset + theta @ a.T)).sum(axis=1)
+
+
+def crafted_latents(n=300, rows=1300, seed=0):
+    """Rows of latent values t, in [-60, 40], as (theta, a, signs, t).
+
+    With A = I and theta = s * t the kernel sees exactly t.  A quarter of the
+    rows are normal; a quarter hold one coordinate in [-37, -1] and one in
+    [5, 40]; a quarter hold one in [-60, -38], whose Phi is 0 or subnormal;
+    the rest sit near -3, so at n = 300 their product underflows with no
+    single factor below the smallest normal float.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((rows, n))
+    q = rows // 4
+    t[q:2 * q, 0] = rng.uniform(-37.0, -1.0, q)
+    t[q:2 * q, 1] = rng.uniform(5.0, 40.0, q)
+    t[2 * q:3 * q, 2] = rng.uniform(-60.0, -38.0, q)
+    t[3 * q:] = rng.uniform(-3.5, -2.5, (rows - 3 * q, n))
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return signs * t, np.eye(n), signs, t
+
+
+class TestOrthantMassKernel:
+    """Each draw's log mass: the log of a product of ndtr values."""
+
+    def test_matches_log_ndtr_row_sums(self):
+        theta, a, signs, t = crafted_latents()
+        got = _log_orthant_mass(theta, a, signs)
+        underflow = ndtr(t).prod(axis=1) < np.finfo(float).tiny
+        # Both paths of the kernel are exercised.
+        assert 0 < underflow.sum() < underflow.size
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, log_ndtr_row_sums(theta, a, signs), rtol=0, atol=1e-12)
+
+    def test_matches_log_ndtr_row_sums_with_offset(self):
+        rng = np.random.default_rng(3)
+        theta = rng.standard_normal((700, 6))
+        a = rng.standard_normal((300, 6))
+        signs = np.where(rng.uniform(size=300) < 0.5, 1.0, -1.0)
+        for offset in (-40.0, -2.0, 0.5, 40.0):
+            np.testing.assert_allclose(
+                _log_orthant_mass(theta, a, signs, offset),
+                log_ndtr_row_sums(theta, a, signs, offset), rtol=0, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("lambda0", [-40.0, -0.3, 3.0])
+    def test_orthant_probability_matches_the_log_ndtr_kernel(self, monkeypatch, lambda0):
+        # At lambda0 = -40 every draw's product underflows to the fallback.
+        f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
+        spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
+        lp, se = orthant_probability(spec, lambda0, f, n_draws=4000, seed=3)
+        monkeypatch.setattr(binary_module, "_log_orthant_mass", log_ndtr_row_sums)
+        ref_lp, ref_se = orthant_probability(spec, lambda0, f, n_draws=4000, seed=3)
+        assert np.isfinite(lp)
+        assert lp == pytest.approx(ref_lp, rel=0, abs=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-9)
 
 
 class TestBinaryLogBf:
@@ -439,6 +505,24 @@ class TestParallelSampler:
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
         assert blocked == run()
 
+    def test_underflow_fallback_identical_at_any_core_count(self, monkeypatch):
+        # 1300 rows in three blocks, the underflowing rows spread over all three.
+        theta, a, signs, _ = crafted_latents(n=50, rows=1300, seed=8)
+        theta = theta[np.random.default_rng(9).permutation(theta.shape[0])]
+        f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
+        spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
+
+        def run():
+            return (_log_orthant_mass(theta, a, signs),
+                    orthant_probability(spec, -40.0, f, n_draws=2000, seed=3))
+
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        pooled = run()
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        serial = run()
+        np.testing.assert_array_equal(pooled[0], serial[0])
+        assert pooled[1] == serial[1]
+
     def test_single_node_orthant_probability_unchanged(self):
         # 2000 antithetic pairs from the stream keyed by (seed, k): the
         # values of the unblocked kernel, to the last few digits libm may move.
@@ -590,6 +674,26 @@ class TestLaplaceScreening:
             assert list(stages) == ["design", "laplace", "monte_carlo", "refit"]
             assert all(value >= 0.0 for value in stages.values())
             assert sum(stages.values()) == pytest.approx(result.timing_seconds, abs=1e-9)
+
+
+@pytest.mark.slow
+def test_binary_n300_reference_orders(monkeypatch):
+    # The benchmark's binary-n300 datasets, read from perfbench/ and not
+    # edited, select the recorded orders at every reference seed (0-63).
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((PERFBENCH / "reference_orders.json").read_text())
+    want = reference["orders"]["binary-n300"]
+    workload = workloads.BinaryWorkload()
+    lo, hi = reference["seeds"]
+    mismatches = []
+    for seed in range(lo, hi + 1):
+        got = [workload.orders(workload.run(item)) for item in workload.inputs(seed)]
+        if got != want[str(seed)]:
+            mismatches.append((seed, got, want[str(seed)]))
+    assert not mismatches
 
 
 def scipy_mode(signs, a, penalty, offset=0.0):

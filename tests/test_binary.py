@@ -181,32 +181,54 @@ def crafted_latents(n=300, rows=1300, seed=0):
 
     With A = I and theta = s * t the kernel sees exactly t.  A quarter of the
     rows are normal; a quarter hold one coordinate in [-37, -1] and one in
-    [5, 40]; a quarter hold one in [-60, -38], whose Phi is 0 or subnormal;
-    the rest sit near -3, so at n = 300 their product underflows with no
-    single factor below the smallest normal float.
+    [5, 40]; a quarter hold one, at a random column, in [-60, -38], whose
+    Phi is 0 or subnormal; the rest sit near -3, so at n = 300 the product
+    over the whole row underflows but no product over 64 coordinates does.
     """
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((rows, n))
     q = rows // 4
     t[q:2 * q, 0] = rng.uniform(-37.0, -1.0, q)
     t[q:2 * q, 1] = rng.uniform(5.0, 40.0, q)
-    t[2 * q:3 * q, 2] = rng.uniform(-60.0, -38.0, q)
+    t[np.arange(2 * q, 3 * q), rng.integers(0, n, q)] = rng.uniform(-60.0, -38.0, q)
     t[3 * q:] = rng.uniform(-3.5, -2.5, (rows - 3 * q, n))
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return signs * t, np.eye(n), signs, t
 
 
+def assert_log_masses_close(got, ref, n):
+    """Within the kernel's bound: 2 n eps, plus a few ulps of the log mass.
+
+    The ulps are the rounding of any sum of that size: at a log mass of
+    -1.4e5 one ulp is 2.9e-11.  At n = 300 and log masses above -1000 the
+    bound is 1e-12.
+    """
+    assert np.all(np.isfinite(got))
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(got, ref, rtol=4 * eps, atol=2 * n * eps)
+
+
+def partial_products(t):
+    """Products of Phi(t) over the kernel's column chunks, one row per row of t."""
+    starts = np.arange(0, t.shape[1], binary_module._MASS_CHUNK)
+    return np.multiply.reduceat(ndtr(t), starts, axis=1)
+
+
 class TestOrthantMassKernel:
-    """Each draw's log mass: the log of a product of ndtr values."""
+    """Each draw's log mass: a sum of logs of partial products of ndtr values."""
 
     def test_matches_log_ndtr_row_sums(self):
         theta, a, signs, t = crafted_latents()
         got = _log_orthant_mass(theta, a, signs)
-        underflow = ndtr(t).prod(axis=1) < np.finfo(float).tiny
-        # Both paths of the kernel are exercised.
-        assert 0 < underflow.sum() < underflow.size
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, log_ndtr_row_sums(theta, a, signs), rtol=0, atol=1e-12)
+        low = partial_products(t) < np.finfo(float).tiny
+        # Both paths of the kernel are exercised, on every chunk of columns,
+        # and some rows whose whole product underflows take no fallback.
+        assert 0 < low.any(axis=1).sum() < low.shape[0]
+        assert low.any(axis=0).all()
+        assert np.any((ndtr(t).prod(axis=1) == 0.0) & ~low.any(axis=1))
+        reference = log_ndtr_row_sums(theta, a, signs)
+        assert_log_masses_close(got, reference, 300)
+        assert np.max(np.abs(got - reference)) < 1e-12
 
     def test_matches_log_ndtr_row_sums_with_offset(self):
         rng = np.random.default_rng(3)
@@ -214,14 +236,30 @@ class TestOrthantMassKernel:
         a = rng.standard_normal((300, 6))
         signs = np.where(rng.uniform(size=300) < 0.5, 1.0, -1.0)
         for offset in (-40.0, -2.0, 0.5, 40.0):
-            np.testing.assert_allclose(
+            assert_log_masses_close(
                 _log_orthant_mass(theta, a, signs, offset),
-                log_ndtr_row_sums(theta, a, signs, offset), rtol=0, atol=1e-12,
+                log_ndtr_row_sums(theta, a, signs, offset), 300,
             )
+
+    def test_large_n_rows_take_no_fallback(self, monkeypatch):
+        # At n = 3000 every row's whole product underflows, as a fitted
+        # probit's does from about n = 1300; no product over 64 coordinates
+        # does, so the log_ndtr fallback never runs.
+        theta, a, signs, t = crafted_latents(n=3000, rows=300, seed=4)
+        theta, t = theta[:75], t[:75]
+        assert np.all(ndtr(t).prod(axis=1) == 0.0)
+        reference = log_ndtr_row_sums(theta, a, signs)
+
+        def no_fallback(x):
+            raise AssertionError("log_ndtr fallback ran")
+
+        monkeypatch.setattr(binary_module, "log_ndtr", no_fallback)
+        assert_log_masses_close(_log_orthant_mass(theta, a, signs), reference, 3000)
 
     @pytest.mark.parametrize("lambda0", [-40.0, -0.3, 3.0])
     def test_orthant_probability_matches_the_log_ndtr_kernel(self, monkeypatch, lambda0):
         # At lambda0 = -40 every draw's product underflows to the fallback.
+        # With n = 4 there is one chunk, so both kernels sum the same values.
         f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
         lp, se = orthant_probability(spec, lambda0, f, n_draws=4000, seed=3)
@@ -506,8 +544,9 @@ class TestParallelSampler:
         assert blocked == run()
 
     def test_underflow_fallback_identical_at_any_core_count(self, monkeypatch):
-        # 1300 rows in three blocks, the underflowing rows spread over all three.
-        theta, a, signs, _ = crafted_latents(n=50, rows=1300, seed=8)
+        # 1300 rows in three blocks, the underflowing chunks spread over all
+        # three blocks and all three chunks of columns.
+        theta, a, signs, _ = crafted_latents(n=150, rows=1300, seed=8)
         theta = theta[np.random.default_rng(9).permutation(theta.shape[0])]
         f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))

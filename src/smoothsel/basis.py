@@ -22,6 +22,12 @@ _CLAMP_TOL = 1e-12
 _ORDER_CAP = 60
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    """The one finiteness rule of the data x and y."""
+    if not all(np.all(np.isfinite(v)) for v in arrays):
+        raise ValueError("x and y must be finite")
+
+
 @dataclass(frozen=True)
 class PredictorScale:
     """Affine map between an observed predictor interval [a, b] and [0, 1].

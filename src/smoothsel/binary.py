@@ -30,7 +30,7 @@ ufuncs release the GIL, so blocks of draws run on a thread pool sized to
 the cores this process may run on.  The one matrix product that feeds
 them, and with it every BLAS call, stays in the calling thread; each block
 reads its rows of that product, and the fallback depends only on the
-values, so results are identical at any core count.
+values, so results are identical at any pool size.
 
 ``fit_binary`` makes one pass per order.  One QR of the design's degree
 columns gives every order's F, its first k columns spanning degrees 1..k.
@@ -60,11 +60,12 @@ the fit reports their posterior mass as ``screened_mass`` and the budget
 it reached as ``screened_bound``.
 
 One damped-Newton helper finds every mode on this path: it maximizes
-sum_i log Phi(s_i (c + (A theta)_i)) - theta' P theta / 2 and reports its
-iterations and convergence.  The base level has A = 1, P = 0; the joint
-level and factor mode A = [1 | F], P = diag(0, I); the factor mode at a
-fixed level A = F, c = lambda_0, P = I.  The probit refit of the selected
-order runs on the Legendre design the selection built (A), and the
+sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2, with the orthant's
+signs s folded into A and c once per fit, and reports its iterations and
+convergence.  The base level has A = s, P = 0; the joint level and factor
+mode A = [s | s F], P = diag(0, I); the factor mode at a fixed level
+A = s F, c = s lambda_0, P = I.  The probit refit of the selected order
+runs on the signed Legendre design the selection built (A = s X), and the
 Bernstein ordinates eta = Q lambda are derived from it for reporting.
 Newton is affine invariant, so this matches a Bernstein-design fit, with a
 separation ridge on eta carried over as P = ridge * Q'Q.
@@ -226,30 +227,29 @@ class _NewtonMode(NamedTuple):
 
 
 def _newton_mode(
-    signs: np.ndarray,
     a: np.ndarray,
     penalty: np.ndarray,
     start: np.ndarray,
-    offset: float = 0.0,
+    offset: np.ndarray | None = None,
     level_box: float = np.inf,
     fit_limit: float = np.inf,
     max_iter: int = 100,
 ) -> _NewtonMode:
-    """Maximize sum_i log Phi(s_i (offset + (A theta)_i)) - theta' P theta / 2.
+    """Maximize sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2, c = ``offset`` or 0.
 
     Damped Newton from ``start``: a step that lowers the objective is halved
     up to 30 times.  Converged once the gradient norm before a step is below
     1e-9 or a step changes the objective by less than 1e-12.  It stops
     unconverged, keeping the last accepted iterate, when every halving
     fails, when the curvature is singular, after ``max_iter`` steps, or
-    when a fitted value |offset + (A theta)_i| exceeds ``fit_limit`` (the
+    when a fitted value |c_i + (A theta)_i| exceeds ``fit_limit`` (the
     separation signal of an unpenalized fit).  ``level_box`` clips
     theta[0], the latent level, to [-level_box, level_box].
     """
 
     def objective(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         # t, log Phi(t) (which the derivatives reuse) and the objective.
-        t = signs * (offset + a @ theta)
+        t = a @ theta if offset is None else offset + a @ theta
         log_cdf = log_ndtr(t)
         return t, log_cdf, float(np.sum(log_cdf) - 0.5 * theta @ (penalty @ theta))
 
@@ -259,7 +259,7 @@ def _newton_mode(
         # phi(t) / Phi(t), stable far into the left tail via log differencing.
         mills = np.exp(-0.5 * t * t - 0.5 * np.log(2.0 * pi) - log_cdf)
         w = mills * (t + mills)
-        grad = a.T @ (signs * mills) - penalty @ theta
+        grad = a.T @ mills - penalty @ theta
         return grad, a.T @ (a * w[:, None]) + penalty
 
     theta = np.asarray(start, dtype=float)
@@ -288,16 +288,16 @@ def _newton_mode(
     return _NewtonMode(theta, cur, derivatives(t, log_cdf, theta)[1], iterations, converged)
 
 
-def _level_start(signs: np.ndarray) -> np.ndarray:
-    """Probit of the success rate (the base-model level), kept off the box."""
-    rate = np.clip(np.mean(signs > 0), 0.01, 0.99)
-    return np.array([np.clip(ndtri(rate), -3.0, 3.0)])
+def _level_start(spec: OrthantSpec) -> np.ndarray:
+    """Probit of the success rate (the base-model level), within +-2.33."""
+    rate = np.clip(np.mean(spec.signs > 0), 0.01, 0.99)
+    return np.array([ndtri(rate)])
 
 
 def _log_orthant_mass(
-    theta: np.ndarray, a: np.ndarray, signs: np.ndarray, offset: float = 0.0
+    theta: np.ndarray, a: np.ndarray, offset: np.ndarray | None = None
 ) -> np.ndarray:
-    """sum_i log Phi(s_i (offset + (A theta)_i)) for each row theta of ``theta``.
+    """sum_i log Phi(c_i + (A theta)_i) for each row theta, as in :func:`_newton_mode`.
 
     Each row is a sum of logs of partial products: ``ndtr`` values
     multiplied over ``_MASS_CHUNK`` coordinates at a time.  Each value is
@@ -313,14 +313,14 @@ def _log_orthant_mass(
     # reading a row slice of one product keeps the results independent of
     # the block split.
     latent = theta @ a.T
+    if offset is not None:
+        latent += offset
     starts = np.arange(0, a.shape[0], _MASS_CHUNK)
     mass = np.empty((theta.shape[0], starts.size))
 
     def block_mass(rows: slice) -> None:
         # Elementwise ufuncs that release the GIL, in place on the block's rows.
         t = latent[rows]
-        t += offset
-        t *= signs
         ndtr(t, out=t)
         np.multiply.reduceat(t, starts, axis=1, out=mass[rows])
 
@@ -338,20 +338,20 @@ def _log_orthant_mass(
     for chunk in np.unique(low_chunks):
         rows = low_rows[low_chunks == chunk]
         cols = slice(starts[chunk], starts[chunk] + _MASS_CHUNK)
-        log_mass[rows, chunk] = log_ndtr(
-            signs[cols] * (offset + theta[rows] @ a[cols].T)
-        ).sum(axis=1)
+        t = theta[rows] @ a[cols].T
+        if offset is not None:
+            t += offset[cols]
+        log_mass[rows, chunk] = log_ndtr(t).sum(axis=1)
     return log_mass.sum(axis=1)
 
 
 def _importance_sample(
-    signs: np.ndarray,
     a: np.ndarray,
     penalty: np.ndarray,
     mode: _NewtonMode,
     n_draws: int,
     rng: np.random.Generator,
-    offset: float = 0.0,
+    offset: np.ndarray | None = None,
 ) -> tuple[float, float, float, int]:
     """Log integral of exp(objective) over theta, by importance sampling.
 
@@ -373,7 +373,7 @@ def _importance_sample(
     step = (z / np.sqrt(g)[:, None]) @ np.linalg.inv(chol)
     theta = np.concatenate([mode.theta + step, mode.theta - step])
 
-    log_mass = _log_orthant_mass(theta, a, signs, offset)
+    log_mass = _log_orthant_mass(theta, a, offset)
 
     # The t density at each draw; both halves of a pair share it.
     log_q = (
@@ -413,7 +413,7 @@ def orthant_probability(
         (n, k) factor loadings F; None or zero columns means the identity
         covariance, for which the product of Phi terms is exact.
     n_draws : int
-        Total Monte Carlo draws (antithetic pairs).
+        Total Monte Carlo draws, >= 1000, drawn in antithetic pairs.
     seed : int
         Seed of the draw stream, keyed by (seed, k) as an order's is.
 
@@ -423,17 +423,22 @@ def orthant_probability(
         Log orthant probability and the standard error of the log estimate
         (0 in the exact independent case).
     """
-    t = spec.signs * lambda0
-    if loadings is None or loadings.shape[1] == 0:
-        return float(np.sum(log_ndtr(t))), 0.0
-    if loadings.shape[0] != spec.n:
-        raise ValueError("loadings row count must match the orthant dimension")
+    if n_draws < _MIN_DRAWS:
+        raise ValueError(f"n_draws must be >= {_MIN_DRAWS}, got {n_draws}")
+    loadings = np.zeros((spec.n, 0)) if loadings is None else np.asarray(loadings, dtype=float)
+    if loadings.ndim != 2 or loadings.shape[0] != spec.n:
+        raise ValueError("loadings must be an (n, k) array over the orthant's n coordinates")
+    if not (np.isfinite(lambda0) and np.all(np.isfinite(loadings))):
+        raise ValueError("lambda0 and the loadings must be finite")
+    c = spec.signs * lambda0
     k = loadings.shape[1]
+    if k == 0:
+        return float(np.sum(log_ndtr(c))), 0.0
     # P(v in A) = E_u prod Phi(s (lambda0 + F u)) for u ~ N(0, I_k).
-    mode = _newton_mode(spec.signs, loadings, np.eye(k), np.zeros(k), offset=lambda0)
+    a = spec.signs[:, None] * loadings
+    mode = _newton_mode(a, np.eye(k), np.zeros(k), offset=c)
     log_int, se_log, _, _ = _importance_sample(
-        spec.signs, loadings, np.eye(k), mode, n_draws,
-        np.random.default_rng([seed, k]), offset=lambda0,
+        a, np.eye(k), mode, n_draws, np.random.default_rng([seed, k]), offset=c
     )
     return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log
 
@@ -445,36 +450,31 @@ def _log_base_integral(spec: OrthantSpec) -> float:
     and scaled by its curvature there.
     """
     mode = _newton_mode(
-        spec.signs,
-        np.ones((spec.n, 1)),
-        np.zeros((1, 1)),
-        _level_start(spec.signs),
-        level_box=_LAMBDA_BOX,
+        spec.signs[:, None], np.zeros((1, 1)), _level_start(spec), level_box=_LAMBDA_BOX
     )
     nodes, log_weights = _sinh_rule(mode.theta, 1.0 / np.sqrt(mode.curvature[0]))
     vals = log_ndtr(spec.signs * nodes).sum(axis=1)
     return float(logsumexp(vals + log_weights[:, 0]))
 
 
-def _joint_terms(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = [1 | F] and P = diag(0, I) of the order-k joint objective."""
+def _joint_terms(spec: OrthantSpec, loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = [s | s F] and P = diag(0, I) of the order-k joint objective; ``loadings`` is s F."""
     k = loadings.shape[1]
     penalty = np.eye(k + 1)
     penalty[0, 0] = 0.0
-    return np.column_stack([np.ones(loadings.shape[0]), loadings]), penalty
+    return np.column_stack([spec.signs, loadings]), penalty
 
 
 def _joint_mode(spec: OrthantSpec, loadings: np.ndarray) -> _NewtonMode:
     """The joint (level, factor) mode of the order-k orthant integral.
 
     It maximizes sum_i log Phi(s_i (lambda_0 + (F u)_i)) - |u|^2 / 2, the
-    log integrand up to the normal constant of u, for the (n, k) loadings F.
+    log integrand up to the normal constant of u, for the signed loadings s F.
     """
     k = loadings.shape[1]
     return _newton_mode(
-        spec.signs,
-        *_joint_terms(loadings),
-        np.concatenate([_level_start(spec.signs), np.zeros(k)]),
+        *_joint_terms(spec, loadings),
+        np.concatenate([_level_start(spec), np.zeros(k)]),
         level_box=_LAMBDA_BOX,
     )
 
@@ -503,7 +503,7 @@ def _mc_log_num(
     """
     k = loadings.shape[1]
     log_int, se_log, ess, draws = _importance_sample(
-        spec.signs, *_joint_terms(loadings), mode, n_draws, np.random.default_rng([seed, k])
+        *_joint_terms(spec, loadings), mode, n_draws, np.random.default_rng([seed, k])
     )
     return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log, ess, draws
 
@@ -546,7 +546,7 @@ def binary_log_bf(
     if k == 0:
         return BinaryBfEstimate(log_bf=0.0, mc_std_error=0.0, n_draws=0, seed=seed)
 
-    loadings = _loadings(_orthonormal_columns(design, k), k)
+    loadings = _loadings(spec.signs[:, None] * _orthonormal_columns(design, k), k)
     mode = _joint_mode(spec, loadings)
     log_num, se_log, _, draws = _mc_log_num(spec, loadings, mode, n_draws, seed)
     return BinaryBfEstimate(
@@ -604,18 +604,19 @@ def fit_binary(
     fit runs Monte Carlo for 9-18 of the 44 orders, median 10.  A kept
     order's ``log_bf``, ``mc_std_error`` and Newton count equal those of
     ``binary_log_bf`` on the fit's own design, whatever order the orders
-    are visited in; the fit runs its QR and each joint mode once.  Each
-    Monte Carlo order draws ``mc_draws`` points of one (k + 1)-dimensional
-    t proposal around its joint mode, from the stream keyed by (seed, k).
-    The orthant-mass kernel takes each draw's log mass as a sum of logs
-    of products of ``ndtr`` values over ``_MASS_CHUNK`` (64) coordinates
-    at a time; a product below the smallest normal float
-    (``np.finfo(float).tiny``) takes the ``log_ndtr`` sum over its
-    coordinates instead.  Each draw's log mass differs from the
+    are visited in; the fit runs its QR, signed by the orthant once, and
+    each joint mode once.  Each Monte Carlo order draws ``mc_draws`` points
+    of one (k + 1)-dimensional t proposal around its joint mode, from the
+    stream keyed by (seed, k).  The orthant-mass kernel reads each draw's
+    latent values straight from one product with the signed design and
+    takes its log mass as a sum of logs of products of ``ndtr`` values over
+    ``_MASS_CHUNK`` (64) coordinates at a time; a product below the
+    smallest normal float (``np.finfo(float).tiny``) takes the ``log_ndtr``
+    sum over its coordinates instead.  Each draw's log mass differs from the
     ``log_ndtr`` row sum by about 2 n eps plus a few ulps of the log mass,
     within 1e-12 at n = 300.  It runs in blocks of draws on the cores
     this process may run on, with BLAS kept in the calling thread; the
-    results are identical at any core count.
+    results are identical at any pool size.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -626,7 +627,7 @@ def fit_binary(
     marks.append(time.perf_counter())
 
     log_den = _log_base_integral(spec)
-    basis = _orthonormal_columns(design, n_max) if n_max else None
+    basis = spec.signs[:, None] * _orthonormal_columns(design, n_max) if n_max else None
     modes = [_joint_mode(spec, _loadings(basis, k)) for k in range(1, n_max + 1)]
     laplace_log_bf = np.array([0.0] + [_laplace_log_num(m) - log_den for m in modes])
     marks.append(time.perf_counter())
@@ -663,8 +664,8 @@ def fit_binary(
     def refit_with(ridge: float) -> _NewtonMode:
         # A ridge on the Bernstein ordinates eta = Q lambda is ridge * Q'Q.
         return _newton_mode(
-            spec.signs, design.values[:, : selected + 1], ridge * (pair.q.T @ pair.q),
-            np.zeros(selected + 1), fit_limit=_SEPARATION_LIMIT,
+            spec.signs[:, None] * design.values[:, : selected + 1],
+            ridge * (pair.q.T @ pair.q), np.zeros(selected + 1), fit_limit=_SEPARATION_LIMIT,
         )
 
     refit = refit_with(0.0)

@@ -42,21 +42,6 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _threads_from(args: argparse.Namespace) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SMOOTHSEL_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"SMOOTHSEL_THREADS must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise ValueError(f"SMOOTHSEL_THREADS must be positive, got {value}")
-        return value
-    return None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothsel",
@@ -96,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--methods", default=default_methods,
                        help="comma list from {bayes, cv}")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: SMOOTHSEL_THREADS, then the cores "
-                            "this process may run on)")
+                       help="worker threads (default: the cores this process may run on)")
         p.add_argument("--no-timing", action="store_true",
                        help="omit timing columns for byte-reproducible output")
         p.add_argument("--omega-prior", choices=_OMEGA_NAMES, default="intrinsic")
@@ -229,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenarios,
         args.output,
         methods=methods,
-        threads=_threads_from(args),
+        threads=args.threads,
         include_timing=not args.no_timing,
         config=config,
         folds=args.folds,

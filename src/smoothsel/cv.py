@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BERNSTEIN, PredictorScale, build_design
+from .basis import BERNSTEIN, PredictorScale, _check_finite, build_design
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def cv_select(
     y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     if x.size != y.size:
         raise ValueError(f"x and y lengths differ: {x.size} vs {y.size}")
+    _check_finite(x, y)
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     n = x.size

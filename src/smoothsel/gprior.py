@@ -31,7 +31,7 @@ from numpy.linalg import lapack_lite
 from scipy.linalg import solve_triangular
 from scipy.special import expit, logsumexp
 
-from .basis import LEGENDRE, DesignMatrix
+from .basis import LEGENDRE, DesignMatrix, _check_finite
 from .model_space import ModelPrior
 
 INTRINSIC = "intrinsic"
@@ -419,6 +419,7 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
+    _check_finite(y)
     _check_order(n, k)
     factor = _factorize(y, design.values[:, 1 : k + 1])
     r2, log1m_r2 = factor.r2()[k], factor.log1m_r2()[k]
@@ -654,6 +655,7 @@ def model_posterior(
     n = y.size
     if n != design.n:
         raise ValueError(f"response length {n} does not match design rows {design.n}")
+    _check_finite(y)
     _check_order(n, design.order)
     factor = _factorize(y, design.values[:, 1:])
     return _posterior_from_r2(n, factor.r2(), factor.log1m_r2(), prior, omega_prior)

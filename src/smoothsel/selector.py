@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .basis import _ORDER_CAP, LEGENDRE, PredictorScale, build_design, max_order
+from .basis import _ORDER_CAP, LEGENDRE, PredictorScale, _check_finite, build_design, max_order
 from .gprior import ModelPosterior, OmegaPrior, _factorize, _posterior_from_r2
 from .model_space import model_prior
 from .transform import TransformPair, build_transform, legendre_to_bernstein
@@ -197,8 +197,7 @@ def _prepare(x: np.ndarray, y: np.ndarray, config) -> tuple:
         raise ValueError(f"x and y lengths differ: {x.size} vs {y.size}")
     if x.size < _MIN_SAMPLE:
         raise ValueError(f"need at least {_MIN_SAMPLE} observations, got {x.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x and y must be finite")
+    _check_finite(x, y)
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n_max = _order_bound(x, config.cap)
     design = build_design(x, scale, n_max, LEGENDRE)

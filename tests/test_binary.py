@@ -170,20 +170,47 @@ class TestOrthantProbability:
         with pytest.raises(ValueError):
             orthant_probability(spec, 0.0, np.ones((3, 1)))
 
+    @pytest.mark.parametrize("n_draws", [-5, 0, 999])
+    def test_draw_floor(self, n_draws):
+        spec = OrthantSpec.from_response(np.array([1, 0]))
+        with pytest.raises(ValueError, match="n_draws must be >= 1000"):
+            orthant_probability(spec, 0.0, np.ones((2, 1)), n_draws=n_draws)
 
-def log_ndtr_row_sums(theta, a, signs, offset=0.0):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_or_loadings_rejected(self, bad):
+        spec = OrthantSpec.from_response(np.array([1, 0, 1]))
+        f = np.array([[0.6], [-0.3], [0.2]])
+        with pytest.raises(ValueError, match="must be finite"):
+            orthant_probability(spec, bad, f)
+        with pytest.raises(ValueError, match="must be finite"):
+            orthant_probability(spec, bad)
+        f[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must be finite"):
+                orthant_probability(spec, 0.2, f)
+
+    def test_one_dimensional_loadings_rejected(self):
+        spec = OrthantSpec.from_response(np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match=r"\(n, k\) array"):
+            orthant_probability(spec, 0.2, np.array([0.6, -0.3, 0.2]))
+
+
+def log_ndtr_row_sums(theta, a, offset=None):
     """The reference orthant-mass kernel: log Phi summed over each row."""
-    return log_ndtr(signs * (offset + theta @ a.T)).sum(axis=1)
+    t = theta @ a.T
+    return log_ndtr(t if offset is None else offset + t).sum(axis=1)
 
 
 def crafted_latents(n=300, rows=1300, seed=0):
-    """Rows of latent values t, in [-60, 40], as (theta, a, signs, t).
+    """Rows of latent values t, in [-60, 40], as (theta, a, t).
 
-    With A = I and theta = s * t the kernel sees exactly t.  A quarter of the
-    rows are normal; a quarter hold one coordinate in [-37, -1] and one in
-    [5, 40]; a quarter hold one, at a random column, in [-60, -38], whose
-    Phi is 0 or subnormal; the rest sit near -3, so at n = 300 the product
-    over the whole row underflows but no product over 64 coordinates does.
+    With the signed A = diag(s) and theta = s * t the kernel sees exactly t.
+    A quarter of the rows are normal; a quarter hold one coordinate in
+    [-37, -1] and one in [5, 40]; a quarter hold one, at a random column, in
+    [-60, -38], whose Phi is 0 or subnormal; the rest sit near -3, so at
+    n = 300 the product over the whole row underflows but no product over 64
+    coordinates does.
     """
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((rows, n))
@@ -193,7 +220,7 @@ def crafted_latents(n=300, rows=1300, seed=0):
     t[np.arange(2 * q, 3 * q), rng.integers(0, n, q)] = rng.uniform(-60.0, -38.0, q)
     t[3 * q:] = rng.uniform(-3.5, -2.5, (rows - 3 * q, n))
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return signs * t, np.eye(n), signs, t
+    return signs * t, np.diag(signs), t
 
 
 def assert_log_masses_close(got, ref, n):
@@ -218,15 +245,15 @@ class TestOrthantMassKernel:
     """Each draw's log mass: a sum of logs of partial products of ndtr values."""
 
     def test_matches_log_ndtr_row_sums(self):
-        theta, a, signs, t = crafted_latents()
-        got = _log_orthant_mass(theta, a, signs)
+        theta, a, t = crafted_latents()
+        got = _log_orthant_mass(theta, a)
         low = partial_products(t) < np.finfo(float).tiny
         # Both paths of the kernel are exercised, on every chunk of columns,
         # and some rows whose whole product underflows take no fallback.
         assert 0 < low.any(axis=1).sum() < low.shape[0]
         assert low.any(axis=0).all()
         assert np.any((ndtr(t).prod(axis=1) == 0.0) & ~low.any(axis=1))
-        reference = log_ndtr_row_sums(theta, a, signs)
+        reference = log_ndtr_row_sums(theta, a)
         assert_log_masses_close(got, reference, 300)
         assert np.max(np.abs(got - reference)) < 1e-12
 
@@ -237,24 +264,24 @@ class TestOrthantMassKernel:
         signs = np.where(rng.uniform(size=300) < 0.5, 1.0, -1.0)
         for offset in (-40.0, -2.0, 0.5, 40.0):
             assert_log_masses_close(
-                _log_orthant_mass(theta, a, signs, offset),
-                log_ndtr_row_sums(theta, a, signs, offset), 300,
+                _log_orthant_mass(theta, a, signs * offset),
+                log_ndtr_row_sums(theta, a, signs * offset), 300,
             )
 
     def test_large_n_rows_take_no_fallback(self, monkeypatch):
         # At n = 3000 every row's whole product underflows, as a fitted
         # probit's does from about n = 1300; no product over 64 coordinates
         # does, so the log_ndtr fallback never runs.
-        theta, a, signs, t = crafted_latents(n=3000, rows=300, seed=4)
+        theta, a, t = crafted_latents(n=3000, rows=300, seed=4)
         theta, t = theta[:75], t[:75]
         assert np.all(ndtr(t).prod(axis=1) == 0.0)
-        reference = log_ndtr_row_sums(theta, a, signs)
+        reference = log_ndtr_row_sums(theta, a)
 
         def no_fallback(x):
             raise AssertionError("log_ndtr fallback ran")
 
         monkeypatch.setattr(binary_module, "log_ndtr", no_fallback)
-        assert_log_masses_close(_log_orthant_mass(theta, a, signs), reference, 3000)
+        assert_log_masses_close(_log_orthant_mass(theta, a), reference, 3000)
 
     @pytest.mark.parametrize("lambda0", [-40.0, -0.3, 3.0])
     def test_orthant_probability_matches_the_log_ndtr_kernel(self, monkeypatch, lambda0):
@@ -527,13 +554,14 @@ class TestParallelSampler:
         # 1300 draws: two full blocks of 512 rows and a last block of 276,
         # against the whole latent matrix as one block in the calling thread.
         n, k, n_draws = 40, 2, 1300
-        loadings = _loadings(_orthonormal_columns(legendre_design(n, k, seed=6), k), k)
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
+        basis = spec.signs[:, None] * _orthonormal_columns(legendre_design(n, k, seed=6), k)
+        loadings = _loadings(basis, k)
         mode = _joint_mode(spec, loadings)
 
         def run():
             return _importance_sample(
-                spec.signs, *_joint_terms(loadings), mode, n_draws, np.random.default_rng([4, k])
+                *_joint_terms(spec, loadings), mode, n_draws, np.random.default_rng([4, k])
             )
 
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
@@ -546,13 +574,13 @@ class TestParallelSampler:
     def test_underflow_fallback_identical_at_any_core_count(self, monkeypatch):
         # 1300 rows in three blocks, the underflowing chunks spread over all
         # three blocks and all three chunks of columns.
-        theta, a, signs, _ = crafted_latents(n=150, rows=1300, seed=8)
+        theta, a, _ = crafted_latents(n=150, rows=1300, seed=8)
         theta = theta[np.random.default_rng(9).permutation(theta.shape[0])]
         f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
 
         def run():
-            return (_log_orthant_mass(theta, a, signs),
+            return (_log_orthant_mass(theta, a),
                     orthant_probability(spec, -40.0, f, n_draws=2000, seed=3))
 
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
@@ -587,6 +615,29 @@ def criterion_8_sample(rep, flip=False):
     x = rng.uniform(0.0, 1.0, 300)
     y = (rng.uniform(size=300) < ndtr(2.0 * x - 1.0)).astype(float)
     return x, 1.0 - y if flip else y
+
+
+def test_criterion_8_fit_values_unchanged():
+    # Replicate 0 runs Monte Carlo at orders 1-10.  The values were recorded
+    # with the signs applied apart from the design, at every Newton step and
+    # draw; folding them into the design moves no bit, and rel 1e-12 allows
+    # only for the last few digits libm may move on another machine.
+    x, y = criterion_8_sample(0)
+    diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
+    assert diag["screened"] == [False] * 11 + [True] * 34
+    pinned = {
+        "log_bf": {1: 27.36738524211941, 5: 21.85852021040671, 10: 17.11323263374021},
+        "laplace_log_bf": {
+            1: 27.367134586001782, 5: 21.8279676472541, 10: 16.99562930455292,
+            20: 6.708424639847834, 44: 5.525447015910487,
+        },
+        "mc_std_error": {
+            1: 0.005206159983771891, 5: 0.008080187961675247, 10: 0.015307215024218761,
+        },
+    }
+    for key, values in pinned.items():
+        for k, want in values.items():
+            assert diag[key][k] == pytest.approx(want, rel=1e-12), (key, k)
 
 
 def fit_with_full_monte_carlo(x, y, scale, seed):
@@ -736,7 +787,11 @@ def test_binary_n300_reference_orders(monkeypatch):
 
 
 def scipy_mode(signs, a, penalty, offset=0.0):
-    """Reference maximizer of sum log Phi(s (offset + A theta)) - theta'P theta/2."""
+    """Reference maximizer of sum log Phi(s (offset + A theta)) - theta'P theta/2.
+
+    It takes the signs apart from the unsigned design A, so it checks the
+    signed design and offset the library's helper is given.
+    """
 
     def neg(theta):
         t = signs * (offset + a @ theta)
@@ -780,7 +835,8 @@ class TestNewtonMode:
     def test_mode_matches_scipy_minimize(self, role):
         signs, a, penalty, offset = self.roles()[role]
         mode = _newton_mode(
-            signs, a, penalty, np.zeros(a.shape[1]), offset=offset,
+            signs[:, None] * a, penalty, np.zeros(a.shape[1]),
+            offset=signs * offset if offset else None,
             level_box=_LAMBDA_BOX if role in ("base", "joint") else np.inf,
         )
         assert mode.converged
@@ -798,7 +854,7 @@ class TestNewtonMode:
         signs = np.where(x > 0.5, 1.0, -1.0)
         design = build_design(x, UNIT, 2, "legendre")
         mode = _newton_mode(
-            signs, design.values, np.zeros((3, 3)), np.zeros(3),
+            signs[:, None] * design.values, np.zeros((3, 3)), np.zeros(3),
             fit_limit=_SEPARATION_LIMIT,
         )
         assert not mode.converged
@@ -807,10 +863,11 @@ class TestNewtonMode:
     def test_iteration_cap_reports_not_converged(self):
         signs, a, penalty, _ = self.roles()["joint"]
         start = np.zeros(a.shape[1])
-        mode = _newton_mode(signs, a, penalty, start, max_iter=1)
+        a = signs[:, None] * a
+        mode = _newton_mode(a, penalty, start, max_iter=1)
         assert mode.iterations == 1
         assert not mode.converged
-        full = _newton_mode(signs, a, penalty, start)
+        full = _newton_mode(a, penalty, start)
         assert full.converged and full.iterations > 1
 
     def test_failed_line_search_keeps_the_last_iterate(self):
@@ -818,7 +875,7 @@ class TestNewtonMode:
         # Newton direction points downhill and every halving is rejected.
         signs = np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
         start = np.array([0.25])
-        mode = _newton_mode(signs, np.ones((40, 1)), np.array([[-40.0]]), start)
+        mode = _newton_mode(signs[:, None], np.array([[-40.0]]), start)
         assert not mode.converged
         assert mode.iterations == 1
         np.testing.assert_array_equal(mode.theta, start)
@@ -826,11 +883,8 @@ class TestNewtonMode:
     def test_level_box_clips_the_level(self):
         # An all-ones response pushes the level to +inf; a step that would
         # leave the box is cut back to its edge.
-        signs = np.ones(20)
         start = np.array([_LAMBDA_BOX - 0.1])
-        mode = _newton_mode(
-            signs, np.ones((20, 1)), np.zeros((1, 1)), start, level_box=_LAMBDA_BOX
-        )
+        mode = _newton_mode(np.ones((20, 1)), np.zeros((1, 1)), start, level_box=_LAMBDA_BOX)
         assert mode.theta[0] == _LAMBDA_BOX
 
     @pytest.mark.parametrize("ridge", [0.0, 0.06])
@@ -839,7 +893,7 @@ class TestNewtonMode:
         x, signs, design = probit_sample(120, k, seed=5)
         q = build_transform(k).q
         mode = _newton_mode(
-            signs, design.values, ridge * (q.T @ q), np.zeros(k + 1),
+            signs[:, None] * design.values, ridge * (q.T @ q), np.zeros(k + 1),
             fit_limit=_SEPARATION_LIMIT,
         )
         assert mode.converged

@@ -100,3 +100,13 @@ class TestCvSelect:
             cv_select(x[:9], y[:9], 3, folds=5)
         with pytest.raises(ValueError):
             cv_select(x, y, -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # A NaN response used to give an all-NaN cv_mse and order 0.
+        x = np.linspace(0, 1, 20)
+        for column in (0, 1):
+            data = [x.copy(), np.sin(x)]
+            data[column][3] = bad
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                cv_select(*data, 3)

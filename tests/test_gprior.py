@@ -201,6 +201,23 @@ class TestFitStats:
         with pytest.raises(ValueError):
             fit_stats(y[:5], small, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        # Each per-model entry rejects what fit rejects; one NaN used to read
+        # as r2 = 0 here and as a posterior with no signal in model_posterior.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, 100)
+        y = np.sin(4.0 * x) + 0.1 * rng.standard_normal(100)
+        y[7] = bad
+        design = build_design(x, UNIT, 5, "legendre")
+        for call in (
+            lambda: fit_stats(y, design, 3),
+            lambda: model_posterior(y, design, model_prior(5), OmegaPrior.intrinsic()),
+            lambda: fit(x, y),
+        ):
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                call()
+
     def test_rank_deficiency_names_the_degree(self):
         # Two distinct x values support only one centered column.
         x = np.array([0.2, 0.2, 0.2, 0.8, 0.8, 0.8])

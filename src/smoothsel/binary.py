@@ -30,7 +30,10 @@ ufuncs release the GIL, so blocks of draws run on a thread pool sized to
 the cores this process may run on.  The one matrix product that feeds
 them, and with it every BLAS call, stays in the calling thread; each block
 reads its rows of that product, and the fallback depends only on the
-values, so results are identical at any pool size.
+values, so results are identical at any pool size.  Zero rows pad the
+design to whole chunks before the product, so the product's columns fill
+whole tiles of the BLAS kernel and results are identical at any BLAS
+thread count too.
 
 ``fit_binary`` makes one pass per order.  One QR of the design's degree
 columns gives every order's F, its first k columns spanning degrees 1..k.
@@ -311,11 +314,15 @@ def _log_orthant_mass(
     # The one BLAS product runs here, in the calling thread: BLAS threads
     # beside the workers would oversubscribe the cores, and every block
     # reading a row slice of one product keeps the results independent of
-    # the block split.
-    latent = theta @ a.T
+    # the block split.  Zero rows pad A to whole chunks, so the product's
+    # columns fill whole tiles of the BLAS kernel: a partial tile's rounding
+    # can depend on how many BLAS threads split the draws.
+    n = a.shape[0]
+    padded = np.pad(a, ((0, -n % _MASS_CHUNK), (0, 0)))
+    latent = (theta @ padded.T)[:, :n]
     if offset is not None:
         latent += offset
-    starts = np.arange(0, a.shape[0], _MASS_CHUNK)
+    starts = np.arange(0, n, _MASS_CHUNK)
     mass = np.empty((theta.shape[0], starts.size))
 
     def block_mass(rows: slice) -> None:
@@ -338,7 +345,7 @@ def _log_orthant_mass(
     for chunk in np.unique(low_chunks):
         rows = low_rows[low_chunks == chunk]
         cols = slice(starts[chunk], starts[chunk] + _MASS_CHUNK)
-        t = theta[rows] @ a[cols].T
+        t = (theta[rows] @ padded[cols].T)[:, : n - starts[chunk]]
         if offset is not None:
             t += offset[cols]
         log_mass[rows, chunk] = log_ndtr(t).sum(axis=1)
@@ -616,7 +623,7 @@ def fit_binary(
     ``log_ndtr`` row sum by about 2 n eps plus a few ulps of the log mass,
     within 1e-12 at n = 300.  It runs in blocks of draws on the cores
     this process may run on, with BLAS kept in the calling thread; the
-    results are identical at any pool size.
+    results are identical at any pool size and any BLAS thread count.
     """
     if config is None:
         config = BinaryFitConfig()

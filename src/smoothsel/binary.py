@@ -1,21 +1,25 @@
 """Order selection for binary responses via a probit latent representation.
 
-A binary observation is y_i = I(v_i > 0) for a latent normal vector v with
-mean lambda_0 * 1 and covariance Sigma_k = I + (2n/(k+1)) P_k, where P_k
-projects onto the span of the degree-1..k Legendre columns.  The marginal
-likelihood of each order is an orthant probability of that normal,
-integrated over the flat level lambda_0, and Bayes factors are ratios of
-those integrals.
+A binary observation is y_i = I(v_i > 0) for a latent normal vector
+v = lambda_0 1 + Q_k w + e, e ~ N(0, I), with a flat level lambda_0, the
+first k columns Q_k of the orthonormalized degree-1..N Legendre columns,
+and the g-prior w ~ N(0, g_k I), g_k = 2n/(k+1) (Zellner 1986; the
+latent probit of Albert & Chib 1993).  Order k's marginal likelihood is
+the orthant probability of v integrated over the level, and Bayes
+factors are ratios of those integrals.
 
-Sigma_k is exactly a rank-k factor model (I + F F' with F carrying the
-scaled orthonormalized columns).  Given the level and the k factor
-coordinates the n latent coordinates are independent, so their orthant
-masses multiply analytically and each order's integral runs over those
-k + 1 coordinates only.  One importance sampler serves every such
-integral (Geweke 1989): antithetic pairs of multivariate t draws around
-the integrand's Newton mode, scaled by a triangular factor of the mode
-curvature.  Each order draws from its own seed stream, keyed by the seed
-and the order, so estimates are identical under any execution order.
+Given theta = (lambda_0, w) the latent coordinates are independent, so
+their orthant masses multiply.  With the orthant's signs s folded into
+A_N = [s | s Q_N], built once per fit from one QR of the degree columns,
+the order-k integral is (2 pi g_k)^(-k/2) times that of
+exp(sum_i log Phi((A_k theta)_i) - theta' P_k theta / 2) over theta, for
+the leading k + 1 columns A_k of A_N and P_k = diag(0, I / g_k).
+Order 0, the base model, is the level alone.  One importance sampler
+serves every such integral (Geweke 1989): antithetic pairs of
+multivariate t draws around the integrand's Newton mode, scaled by a
+triangular factor of the mode curvature.  Each order draws from its own
+seed stream, keyed by the seed and the order, so estimates are identical
+under any execution order.
 
 The orthant-mass kernel is nearly all of the work.  Each draw's log mass
 is a sum of logs of partial products of Phi over its latent coordinates,
@@ -35,21 +39,20 @@ design to whole chunks before the product, so the product's columns fill
 whole tiles of the BLAS kernel and results are identical at any BLAS
 thread count too.
 
-``fit_binary`` makes one pass per order.  One QR of the design's degree
-columns gives every order's F, its first k columns spanning degrees 1..k.
-Each order's joint mode and curvature give its Laplace log Bayes factor
-(Tierney & Kadane 1986), and Monte Carlo runs only where the posterior has
-mass, centered on that same mode.  The denominator, the base integral
-over the level alone, uses the fixed sinh rule of the Gaussian path.
-All orders but the base start screened; Monte Carlo runs for the
-screened order of highest log posterior until e^c times the Laplace
-posterior mass of the screened orders, over the mass of the rest, is at
-most ``_SCREEN_TOL`` (1e-6).  The slack c = ``_LAPLACE_SLACK`` (4.5 nats)
-bounds how far the Laplace value falls short of the Monte Carlo one, so
-the screened orders' true share stays within the budget.  Against every
-order's Monte Carlo value at 4000 draws, the Laplace value was at most
-0.09 nats above it and fell short by up to 1.03 nats on criterion-8 data
-(n = 300, y ~ Bernoulli(Phi(2x - 1)), order 43), 1.53 on
+``fit_binary`` makes one pass per order over the one signed design.  Each
+order's mode and curvature give its Laplace log Bayes factor (Tierney &
+Kadane 1986), and Monte Carlo runs only where the posterior has mass,
+centered on that same mode.  The denominator, the base integral over the
+level alone, uses the fixed sinh rule of the Gaussian path around the
+order-0 mode.  All orders but the base start screened; Monte Carlo runs
+for the screened order of highest log posterior until e^c times the
+Laplace posterior mass of the screened orders, over the mass of the rest,
+is at most ``_SCREEN_TOL`` (1e-6).  The slack c = ``_LAPLACE_SLACK`` (4.5
+nats) bounds how far the Laplace value falls short of the Monte Carlo
+one, so the screened orders' true share stays within the budget.  Against
+every order's Monte Carlo value at 4000 draws, the Laplace value was at
+most 0.09 nats above it and fell short by up to 1.03 nats on criterion-8
+data (n = 300, y ~ Bernoulli(Phi(2x - 1)), order 43), 1.53 on
 y ~ Bernoulli(Phi(mu(x))) for the ``pwlinear`` signal mu at n = 300
 (order 44), 1.82 for ``poly5`` at n = 300, and 3.98 (order 54) and
 4.11 (order 37) for ``poly5`` at n = 1000, always at a high order; both
@@ -63,12 +66,11 @@ the fit reports their posterior mass as ``screened_mass`` and the budget
 it reached as ``screened_bound``.
 
 One damped-Newton helper finds every mode on this path: it maximizes
-sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2, with the orthant's
-signs s folded into A and c once per fit, and reports its iterations and
-convergence.  The base level has A = s, P = 0; the joint level and factor
-mode A = [s | s F], P = diag(0, I); the factor mode at a fixed level
-A = s F, c = s lambda_0, P = I.  The probit refit of the selected order
-runs on the signed Legendre design the selection built (A = s X), and the
+sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2 and reports its
+iterations and convergence.  Order k has A = A_k, c = 0, P = P_k;
+``orthant_probability``, whose loadings F are not nested, has A = s F,
+c = s lambda_0, P = I.  The probit refit of the selected order runs on
+the signed Legendre design the selection built (A = s X), and the
 Bernstein ordinates eta = Q lambda are derived from it for reporting.
 Newton is affine invariant, so this matches a Bernstein-design fit, with a
 separation ridge on eta carried over as P = ridge * Q'Q.
@@ -166,11 +168,11 @@ def _two_sided_orthant(y: np.ndarray) -> OrthantSpec:
 class BinaryBfEstimate:
     """Monte Carlo Bayes factor estimate for one order.
 
-    ``n_draws`` counts the importance draws spent on the order's joint
-    (level, factor) integral: whole antithetic pairs, at least the budget
+    ``n_draws`` counts the importance draws spent on the order's integral
+    over theta = (lambda_0, w): whole antithetic pairs, at least the budget
     asked for (0 for order 0, which needs no sampling).
     ``newton_iterations`` and ``newton_converged`` report the search for the
-    joint mode that centers the sampler; order 0 needs none.
+    order-k mode that centers the sampler; order 0 needs none.
     """
 
     log_bf: float
@@ -199,24 +201,26 @@ class BinaryFitConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-def _orthonormal_columns(design: DesignMatrix, k: int) -> np.ndarray:
-    """The first k columns of Q in one QR of all the degree columns.
+def _signed_design(spec: OrthantSpec, design: DesignMatrix, k: int) -> np.ndarray:
+    """A_N = [s | s Q_N] from one QR of all the degree columns.
 
-    Only the first k pivots are checked for rank, as in a QR of k columns.
+    Order j reads its leading j + 1 columns.  Only the first k pivots are
+    checked for rank, as in a QR of k columns, so orders up to k are valid.
     """
-    if design.basis != LEGENDRE:
-        raise ValueError("the probit model requires a Legendre design")
-    if k < 1 or k > design.order:
-        raise ValueError(f"k={k} outside [1, {design.order}]")
     cols = design.values[:, 1:]
     q, r = np.linalg.qr(cols)
     _check_rank(np.diag(r)[:k], np.sqrt((cols[:, :k] ** 2).sum(axis=0)))
-    return q[:, :k]
+    return spec.signs[:, None] * np.column_stack([np.ones(spec.n), q])
 
 
-def _loadings(basis: np.ndarray, k: int) -> np.ndarray:
-    """Loadings F = sqrt(2n/(k+1)) Q_k of the order-k model, Sigma_k = I + F F'."""
-    return np.sqrt(2.0 * basis.shape[0] / (k + 1.0)) * basis[:, :k]
+def _g_prior(n: int, k: int) -> tuple[np.ndarray, float]:
+    """P_k = diag(0, I / g_k) and log (2 pi g_k)^(-k/2), for g_k = 2n/(k+1).
+
+    The level is flat and w ~ N(0, g_k I): exp(-theta' P_k theta / 2) is
+    the prior density of theta = (lambda_0, w) up to that normal constant.
+    """
+    g = 2.0 * n / (k + 1.0)
+    return np.diag(np.r_[0.0, np.full(k, 1.0 / g)]), -0.5 * k * np.log(2.0 * pi * g)
 
 
 class _NewtonMode(NamedTuple):
@@ -302,14 +306,8 @@ def _log_orthant_mass(
 ) -> np.ndarray:
     """sum_i log Phi(c_i + (A theta)_i) for each row theta, as in :func:`_newton_mode`.
 
-    Each row is a sum of logs of partial products: ``ndtr`` values
-    multiplied over ``_MASS_CHUNK`` coordinates at a time.  Each value is
-    accurate to a few ulps relative, so over n coordinates the sum moves by
-    about 2 n eps (1.3e-13 at n = 300) from the ``log_ndtr`` row sum, plus
-    the few ulps of the log mass that rounding any such sum costs.  A
-    partial product below the smallest normal float has lost
-    digits or is 0; it takes the ``log_ndtr`` sum over its coordinates
-    instead.
+    The orthant-mass kernel of the module docstring: logs of products of
+    ``ndtr`` over ``_MASS_CHUNK`` coordinates, ``log_ndtr`` where one underflows.
     """
     # The one BLAS product runs here, in the calling thread: BLAS threads
     # beside the workers would oversubscribe the cores, and every block
@@ -450,69 +448,57 @@ def orthant_probability(
     return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log
 
 
-def _log_base_integral(spec: OrthantSpec) -> float:
-    """Log of the integral of prod Phi(s lambda0) over the flat level.
-
-    The fixed sinh rule of the Gaussian path, centred on the level's mode
-    and scaled by its curvature there.
-    """
-    mode = _newton_mode(
-        spec.signs[:, None], np.zeros((1, 1)), _level_start(spec), level_box=_LAMBDA_BOX
-    )
-    nodes, log_weights = _sinh_rule(mode.theta, 1.0 / np.sqrt(mode.curvature[0]))
-    vals = log_ndtr(spec.signs * nodes).sum(axis=1)
-    return float(logsumexp(vals + log_weights[:, 0]))
-
-
-def _joint_terms(spec: OrthantSpec, loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = [s | s F] and P = diag(0, I) of the order-k joint objective; ``loadings`` is s F."""
-    k = loadings.shape[1]
-    penalty = np.eye(k + 1)
-    penalty[0, 0] = 0.0
-    return np.column_stack([spec.signs, loadings]), penalty
-
-
-def _joint_mode(spec: OrthantSpec, loadings: np.ndarray) -> _NewtonMode:
-    """The joint (level, factor) mode of the order-k orthant integral.
-
-    It maximizes sum_i log Phi(s_i (lambda_0 + (F u)_i)) - |u|^2 / 2, the
-    log integrand up to the normal constant of u, for the signed loadings s F.
-    """
-    k = loadings.shape[1]
+def _order_mode(spec: OrthantSpec, a_n: np.ndarray, k: int) -> _NewtonMode:
+    """The mode of order k's objective, on the leading k + 1 columns of A_N."""
     return _newton_mode(
-        *_joint_terms(spec, loadings),
+        a_n[:, : k + 1],
+        _g_prior(spec.n, k)[0],
         np.concatenate([_level_start(spec), np.zeros(k)]),
         level_box=_LAMBDA_BOX,
     )
 
 
-def _laplace_log_num(mode: _NewtonMode) -> float:
-    """Laplace approximation of the log orthant integral at a joint mode.
+def _log_base_integral(spec: OrthantSpec, base: _NewtonMode) -> float:
+    """Log of the integral of prod Phi(s lambda0) over the flat level.
 
-    The integrand over (lambda_0, u) is exp(objective) (2 pi)^(-k/2); its
-    Gaussian volume (2 pi)^((k+1)/2) det(curvature)^(-1/2) leaves one
-    factor (2 pi)^(1/2).
+    The fixed sinh rule of the Gaussian path, centred on the order-0 mode
+    ``base`` and scaled by its curvature there.
     """
+    nodes, log_weights = _sinh_rule(base.theta, 1.0 / np.sqrt(base.curvature[0]))
+    vals = log_ndtr(spec.signs * nodes).sum(axis=1)
+    return float(logsumexp(vals + log_weights[:, 0]))
+
+
+def _laplace_log_num(mode: _NewtonMode, n: int) -> float:
+    """Laplace approximation of the log marginal likelihood of ``mode``'s order.
+
+    exp(objective) at the mode times its Gaussian volume
+    (2 pi)^(dim/2) det(curvature)^(-1/2), with the g-prior's constant added
+    as in :func:`_mc_log_num`.
+    """
+    k = mode.theta.size - 1
     log_det = np.linalg.slogdet(mode.curvature)[1]
-    return float(mode.value + 0.5 * np.log(2.0 * pi) - 0.5 * log_det)
+    log_int = mode.value + 0.5 * (k + 1) * np.log(2.0 * pi) - 0.5 * log_det
+    return float(log_int + _g_prior(n, k)[1])
 
 
 def _mc_log_num(
-    spec: OrthantSpec, loadings: np.ndarray, mode: _NewtonMode, n_draws: int, seed: int
+    a_n: np.ndarray, mode: _NewtonMode, n_draws: int, seed: int
 ) -> tuple[float, float, float, int]:
-    """Monte Carlo log orthant integral of one order, centered on its joint mode.
+    """Monte Carlo log marginal likelihood of one order, centered on its mode.
 
-    The integrand over (lambda_0, u) is exp(objective) (2 pi)^(-k/2), sampled
-    by :func:`_importance_sample` from the stream keyed by (seed, k).
+    The order k is that of ``mode``; its integral of exp(objective) is
+    sampled by :func:`_importance_sample` from the stream keyed by (seed, k).
     Returns it, the delta-method standard error of the log, the effective
     sample size (sum w)^2 / sum w^2 of the draws' importance weights w, and
     the draws spent: whole antithetic pairs, at least ``n_draws``.
     """
-    k = loadings.shape[1]
+    k = mode.theta.size - 1
+    penalty, log_norm = _g_prior(a_n.shape[0], k)
     log_int, se_log, ess, draws = _importance_sample(
-        *_joint_terms(spec, loadings), mode, n_draws, np.random.default_rng([seed, k])
+        a_n[:, : k + 1], penalty, mode, n_draws, np.random.default_rng([seed, k])
     )
-    return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log, ess, draws
+    return float(log_int + log_norm), se_log, ess, draws
 
 
 def binary_log_bf(
@@ -531,7 +517,8 @@ def binary_log_bf(
     design : DesignMatrix
         Legendre design of order >= k.
     k : int
-        Candidate order, >= 0; k = 0 short-circuits to log BF 0 exactly.
+        Candidate order, 0 <= k <= ``design.order``; k = 0 short-circuits
+        to log BF 0 exactly.
     n_draws : int
         Total Monte Carlo budget, >= 1000, drawn in antithetic pairs.
     seed : int
@@ -543,21 +530,24 @@ def binary_log_bf(
         Log Bayes factor, its delta-method standard error, and the
         bookkeeping of the run.
     """
+    if design.basis != LEGENDRE:
+        raise ValueError("the probit model requires a Legendre design")
+    if not 0 <= k <= design.order:
+        raise ValueError(f"k={k} outside [0, {design.order}]")
     spec = _two_sided_orthant(y)
     if spec.n != design.n:
         raise ValueError(f"response length {spec.n} does not match design rows")
     if n_draws < _MIN_DRAWS:
         raise ValueError(f"n_draws must be >= {_MIN_DRAWS}, got {n_draws}")
-    if k < 0:
-        raise ValueError(f"k={k} outside [0, {design.order}]")
     if k == 0:
         return BinaryBfEstimate(log_bf=0.0, mc_std_error=0.0, n_draws=0, seed=seed)
 
-    loadings = _loadings(spec.signs[:, None] * _orthonormal_columns(design, k), k)
-    mode = _joint_mode(spec, loadings)
-    log_num, se_log, _, draws = _mc_log_num(spec, loadings, mode, n_draws, seed)
+    a_n = _signed_design(spec, design, k)
+    mode = _order_mode(spec, a_n, k)
+    log_num, se_log, _, draws = _mc_log_num(a_n, mode, n_draws, seed)
+    log_den = _log_base_integral(spec, _order_mode(spec, a_n, 0))
     return BinaryBfEstimate(
-        log_bf=log_num - _log_base_integral(spec), mc_std_error=se_log, n_draws=draws,
+        log_bf=log_num - log_den, mc_std_error=se_log, n_draws=draws,
         seed=seed, newton_iterations=mode.iterations, newton_converged=mode.converged,
     )
 
@@ -589,41 +579,38 @@ def fit_binary(
         Carlo, or Laplace where screened), ``laplace_log_bf``,
         ``screened`` (never order 0), ``mc_std_error`` and ``mc_ess``
         (the effective sample size (sum w)^2 / sum w^2 of the order's
-        importance weights; both 0.0 for order 0 and where screened) and the Newton iteration counts and
-        convergence flags of each order's joint mode.  Per fit:
-        ``screened_mass``, the posterior mass of the screened orders;
-        ``screened_bound``, e^c times their Laplace mass over that of
-        the other orders (at most 1e-6, 0.0 when none is screened); the
-        refit's Newton count and flag; the Bernstein error bound; and
-        ``stages``, the seconds spent in ``design`` (with the input
-        checks), ``laplace``, ``monte_carlo`` (with the selection) and
-        ``refit``, which sum to ``timing_seconds``.
+        importance weights; both 0.0 for order 0 and where screened) and
+        ``newton_iterations`` and ``newton_converged`` of each order's
+        mode (0 and True for order 0).  Per fit: ``screened_mass``, the
+        posterior mass of the screened orders; ``screened_bound``, e^c
+        times their Laplace mass over that of the other orders (at most
+        1e-6, 0.0 when none is screened); the Newton count and flag of the
+        base level (``base_newton_*``) and of the refit (``refit_newton_*``);
+        the Bernstein error bound; and ``stages``, the seconds spent in
+        ``design`` (with the input checks), ``laplace``, ``monte_carlo``
+        (with the selection) and ``refit``, which sum to ``timing_seconds``.
 
     Notes
     -----
-    Every order is scored by its Laplace log Bayes factor first.  Monte
-    Carlo then runs for the screened order of highest log posterior, one
-    at a time, until ``screened_bound`` is at most 1e-6, with the slack
-    c = 4.5 nats covering the Laplace under-estimate.  If every screened
-    order's Laplace log Bayes factor is at most c below its Monte Carlo
-    value, no posterior probability differs from the all-Monte Carlo one
-    by more than e^c ``screened_mass``.  On criterion-8 data (n = 300) a
-    fit runs Monte Carlo for 9-18 of the 44 orders, median 10.  A kept
+    Order k is the g-prior w ~ N(0, (2n/(k+1)) I) on the first k
+    orthonormalized degree columns, so every order, the base included, is
+    a column prefix of one signed design built from one QR per fit, and
+    each order's mode is found once.  Every order is scored by its Laplace
+    log Bayes factor first.  Monte Carlo then runs for the screened order
+    of highest log posterior, one at a time, until ``screened_bound`` is
+    at most 1e-6, with the slack c = 4.5 nats covering the Laplace
+    under-estimate.  If every screened order's Laplace log Bayes factor
+    is at most c below its Monte Carlo value, no posterior probability
+    differs from the all-Monte Carlo one by more than e^c
+    ``screened_mass``.  On criterion-8 data (n = 300) a fit runs Monte
+    Carlo for 9-18 of the 44 orders, median 10.  Each Monte Carlo order
+    draws ``mc_draws`` points of one (k + 1)-dimensional t proposal
+    around its mode, from the stream keyed by (seed, k), so a kept
     order's ``log_bf``, ``mc_std_error`` and Newton count equal those of
     ``binary_log_bf`` on the fit's own design, whatever order the orders
-    are visited in; the fit runs its QR, signed by the orthant once, and
-    each joint mode once.  Each Monte Carlo order draws ``mc_draws`` points
-    of one (k + 1)-dimensional t proposal around its joint mode, from the
-    stream keyed by (seed, k).  The orthant-mass kernel reads each draw's
-    latent values straight from one product with the signed design and
-    takes its log mass as a sum of logs of products of ``ndtr`` values over
-    ``_MASS_CHUNK`` (64) coordinates at a time; a product below the
-    smallest normal float (``np.finfo(float).tiny``) takes the ``log_ndtr``
-    sum over its coordinates instead.  Each draw's log mass differs from the
-    ``log_ndtr`` row sum by about 2 n eps plus a few ulps of the log mass,
-    within 1e-12 at n = 300.  It runs in blocks of draws on the cores
-    this process may run on, with BLAS kept in the calling thread; the
-    results are identical at any pool size and any BLAS thread count.
+    are visited in.  The results are identical at any thread-pool size
+    and any BLAS thread count; the module docstring describes the
+    sampler's kernel and the measured Laplace shortfalls.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -633,10 +620,10 @@ def fit_binary(
     n, n_max = x.size, design.order
     marks.append(time.perf_counter())
 
-    log_den = _log_base_integral(spec)
-    basis = spec.signs[:, None] * _orthonormal_columns(design, n_max) if n_max else None
-    modes = [_joint_mode(spec, _loadings(basis, k)) for k in range(1, n_max + 1)]
-    laplace_log_bf = np.array([0.0] + [_laplace_log_num(m) - log_den for m in modes])
+    a_n = _signed_design(spec, design, n_max)
+    modes = [_order_mode(spec, a_n, k) for k in range(n_max + 1)]
+    log_den = _log_base_integral(spec, modes[0])
+    laplace_log_bf = np.array([0.0] + [_laplace_log_num(m, n) - log_den for m in modes[1:]])
     marks.append(time.perf_counter())
 
     log_bf = laplace_log_bf.copy()
@@ -654,9 +641,7 @@ def fit_binary(
         if log_bound <= np.log(_SCREEN_TOL):
             break
         k = int(np.argmax(np.where(screened, log_post, -np.inf)))
-        log_num, mc_se[k], mc_ess[k], _ = _mc_log_num(
-            spec, _loadings(basis, k), modes[k - 1], config.mc_draws, config.seed
-        )
+        log_num, mc_se[k], mc_ess[k], _ = _mc_log_num(a_n, modes[k], config.mc_draws, config.seed)
         log_bf[k] = log_num - log_den
         log_post[k] = log_bf[k] + prior.log_probs[k]
         screened[k] = False
@@ -714,8 +699,10 @@ def fit_binary(
             "screened": screened.tolist(),
             "screened_mass": float(posterior[screened].sum()),
             "screened_bound": float(np.exp(log_bound)),
-            "newton_iterations": [0] + [m.iterations for m in modes],
-            "newton_converged": [True] + [m.converged for m in modes],
+            "newton_iterations": [0] + [m.iterations for m in modes[1:]],
+            "newton_converged": [True] + [m.converged for m in modes[1:]],
+            "base_newton_iterations": modes[0].iterations,
+            "base_newton_converged": modes[0].converged,
             "refit_newton_iterations": refit.iterations,
             "refit_newton_converged": refit.converged,
             "bernstein_error_bound": eta_bound,

@@ -279,10 +279,10 @@ def _householder_r(buf: np.ndarray) -> np.ndarray:
     still spinning after the caller's last numpy BLAS call: with two threads
     per pool on two cores a 3 ms fit at n = 500 took up to 110 ms after a
     least-squares solve.  ``np.linalg.qr`` shares numpy's pool but copies
-    the buffer twice.
+    the buffer twice.  ``buf.T`` has at least as many rows as columns.
     """
     n_cols, n = buf.shape
-    tau = np.empty(min(n, n_cols))
+    tau = np.empty(n_cols)
     work = np.empty(1)
     lapack_lite.dgeqrf(n, n_cols, buf, n, tau, work, -1, 0)
     work = np.empty(int(work[0]))
@@ -290,7 +290,7 @@ def _householder_r(buf: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
     # Only the leading block is triangularized, not the whole n-row buffer.
-    return np.triu(buf.T[: min(n, n_cols)])
+    return np.triu(buf.T[:n_cols])
 
 
 def _blocked_r(
@@ -369,10 +369,7 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
         sums[n_cols] += aug[:, n_cols] @ aug[:, n_cols]
 
     r = _blocked_r(n, n_cols + 1, fill)
-    # With fewer rows than columns R is short; the missing pivots are zero.
-    diag = np.zeros(n_cols)
-    diag[: r.shape[0]] = np.diag(r)[:n_cols]
-    _check_rank(diag, np.sqrt(sums[:n_cols]))
+    _check_rank(np.diag(r)[:n_cols], np.sqrt(sums[:n_cols]))
     return _Factorization(
         ybar=ybar,
         col_means=col_means,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.optimize import minimize
 from scipy.special import log_ndtr, logsumexp, ndtr
 from scipy.stats import multivariate_normal
@@ -22,13 +23,12 @@ from smoothsel.binary import (
     _SEPARATION_LIMIT,
     BinaryFitConfig,
     OrthantSpec,
+    _g_prior,
     _importance_sample,
-    _joint_mode,
-    _joint_terms,
-    _loadings,
     _log_orthant_mass,
     _newton_mode,
-    _orthonormal_columns,
+    _order_mode,
+    _signed_design,
     binary_log_bf,
     fit_binary,
     orthant_probability,
@@ -80,9 +80,15 @@ class TestBinaryFitConfig:
 
 
 def sigma_k(design, k):
-    """Latent covariance I + F F' of the order-k model, from the sampler's loadings."""
-    f = _loadings(_orthonormal_columns(design, k), k)
-    return np.eye(design.n) + f @ f.T
+    """Latent covariance I + g_k Q_k Q_k' of the order-k model, from the signed design.
+
+    With every sign +1 the design's columns 1..k are Q_k, and the g-prior
+    gives w the variance 1 / P_k[j, j] = g_k.
+    """
+    spec = OrthantSpec(signs=np.ones(design.n), n=design.n)
+    q = _signed_design(spec, design, k)[:, 1 : k + 1]
+    g = 1.0 / np.diag(_g_prior(design.n, k)[0])[1:]
+    return np.eye(design.n) + (q * g) @ q.T
 
 
 class TestSigmaK:
@@ -114,8 +120,9 @@ class TestSigmaK:
         # degree columns; asking for three must fail loudly.
         x = np.array([0.2, 0.2, 0.2, 0.8, 0.8, 0.8])
         design = build_design(x, UNIT, 3, "legendre")
+        spec = OrthantSpec.from_response(np.array([0, 1, 0, 1, 0, 1]))
         with pytest.raises(ValueError, match="rank-deficient"):
-            _orthonormal_columns(design, 3)
+            _signed_design(spec, design, 3)
 
 
 class TestOrthantProbability:
@@ -297,7 +304,45 @@ class TestOrthantMassKernel:
         assert se == pytest.approx(ref_se, rel=1e-9)
 
 
+def quadrature_log_bf(y, design, k):
+    """Log Bayes factor of order k by product quadrature, from the model itself.
+
+    The numerator integrates prod Phi(s (lambda_0 + sqrt(g_k) Q_k u)) over
+    u ~ N(0, I_k) by a 48-node Gauss-Hermite rule per coordinate and over
+    the flat level by the trapezoid rule on 401 points of [-10, 10]; the
+    denominator integrates prod Phi(s lambda_0) on the same level grid.  At
+    n = 12 this is within 1e-6 nats of 2001 levels on [-25, 25] and 100 nodes.
+    """
+    signs, n = 2.0 * y - 1.0, y.size
+    level = np.linspace(-10.0, 10.0, 401)
+    log_trap = np.full(level.size, np.log(level[1] - level[0]))
+    log_trap[[0, -1]] -= np.log(2.0)
+    log_den = logsumexp(log_ndtr(signs * level[:, None]).sum(axis=1) + log_trap)
+    q = np.linalg.qr(design.values[:, 1 : k + 1])[0]
+    nodes, weights = hermegauss(48)
+    u = np.stack(np.meshgrid(*[nodes] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    log_w = np.log(np.prod(np.meshgrid(*[weights] * k, indexing="ij"), axis=0)).ravel()
+    shift = u @ (np.sqrt(2.0 * n / (k + 1.0)) * q).T
+    log_mass = np.array([log_ndtr(signs * (lam + shift)).sum(axis=1) for lam in level])
+    log_num = logsumexp(log_mass + log_w + log_trap[:, None]) - 0.5 * k * np.log(2.0 * np.pi)
+    return log_num - log_den
+
+
 class TestBinaryLogBf:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_product_quadrature(self, k):
+        # An oracle independent of the sampler, its modes and its design.
+        # Leaving out the g-prior's constant (2 pi g_k)^(-k/2) against
+        # (2 pi)^(-k/2) would move the estimate by 1.24 (k = 1) and 2.08
+        # (k = 2) nats, hundreds of standard errors.
+        rng = np.random.default_rng([12, 0])
+        x = rng.uniform(0, 1, 12)
+        y = (rng.uniform(size=12) < ndtr(2.0 * x - 1.0)).astype(float)
+        design = build_design(x, UNIT, 2, "legendre")
+        est = binary_log_bf(y, design, k, n_draws=4000, seed=0)
+        assert 0.0 < est.mc_std_error < 0.01
+        assert abs(est.log_bf - quadrature_log_bf(y, design, k)) <= 4.0 * est.mc_std_error
+
     def test_base_against_itself_is_exact_zero(self):
         design = legendre_design(20, 2, seed=0)
         y = (np.linspace(0, 1, 20) > 0.4).astype(int)
@@ -360,12 +405,13 @@ class TestBinaryLogBf:
         x = rng.uniform(0, 1, 60)
         y = (rng.uniform(size=60) < ndtr(2.0 * x - 1.0)).astype(int)
         legendre = build_design(x, UNIT, 3, "legendre")
-        for k in (5, -1):
-            with pytest.raises(ValueError, match=rf"k={k} outside \["):
+        for k in (4, 5, -1):
+            with pytest.raises(ValueError, match=rf"k={k} outside \[0, 3\]"):
                 binary_log_bf(y, legendre, k, n_draws=1000, seed=0)
         bernstein = build_design(x, UNIT, 3, "bernstein")
-        with pytest.raises(ValueError, match="requires a Legendre design"):
-            binary_log_bf(y, bernstein, 2, n_draws=1000, seed=0)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="requires a Legendre design"):
+                binary_log_bf(y, bernstein, k, n_draws=1000, seed=0)
 
 
 class TestFitBinary:
@@ -415,6 +461,8 @@ class TestFitBinary:
         assert diag["newton_converged"] == [True] * (result.max_order + 1)
         assert diag["refit_newton_iterations"] >= 1
         assert diag["refit_newton_converged"] is True
+        assert diag["base_newton_iterations"] >= 1
+        assert diag["base_newton_converged"] is True
         payload = result.to_dict()
         assert payload["omega_prior"] is None
         assert payload["link"] == "probit"
@@ -481,8 +529,8 @@ class TestFitBinary:
 
     def test_one_factorization_and_one_mode_per_order(self, monkeypatch):
         # One QR serves every order, and the Monte Carlo reuses the Laplace
-        # pass's joint modes: the only Newton solves are the base level,
-        # one joint mode per order and the refit.
+        # pass's modes: the only Newton solves are one mode per order, the
+        # base level included, and the refit.
         calls = {"qr": 0, "newton": 0}
 
         def counted(name, func):
@@ -555,13 +603,12 @@ class TestParallelSampler:
         # against the whole latent matrix as one block in the calling thread.
         n, k, n_draws = 40, 2, 1300
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
-        basis = spec.signs[:, None] * _orthonormal_columns(legendre_design(n, k, seed=6), k)
-        loadings = _loadings(basis, k)
-        mode = _joint_mode(spec, loadings)
+        a_n = _signed_design(spec, legendre_design(n, k, seed=6), k)
+        mode = _order_mode(spec, a_n, k)
 
         def run():
             return _importance_sample(
-                *_joint_terms(spec, loadings), mode, n_draws, np.random.default_rng([4, k])
+                a_n, _g_prior(n, k)[0], mode, n_draws, np.random.default_rng([4, k])
             )
 
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
@@ -619,9 +666,10 @@ def criterion_8_sample(rep, flip=False):
 
 def test_criterion_8_fit_values_unchanged():
     # Replicate 0 runs Monte Carlo at orders 1-10.  The values were recorded
-    # with the signs applied apart from the design, at every Newton step and
-    # draw; folding them into the design moves no bit, and rel 1e-12 allows
-    # only for the last few digits libm may move on another machine.
+    # with each order's own factor loadings sqrt(g_k) Q_k and a standard
+    # normal prior on their coordinates; the g-prior on a prefix of one
+    # signed design moves them by a few ulps, and rel 1e-12 allows for that
+    # and for the last few digits libm may move on another machine.
     x, y = criterion_8_sample(0)
     diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
     assert diag["screened"] == [False] * 11 + [True] * 34
@@ -821,13 +869,13 @@ class TestNewtonMode:
     def roles(self):
         n, k = 60, 3
         _, signs, design = probit_sample(n, k, seed=21)
-        loadings = np.sqrt(2.0 * n / (k + 1.0)) * _orthonormal_columns(design, k)
-        joint_penalty = np.eye(k + 1)
-        joint_penalty[0, 0] = 0.0
+        q = np.linalg.qr(design.values[:, 1:])[0]
+        g = 2.0 * n / (k + 1.0)
+        g_prior = np.diag([0.0] + [1.0 / g] * k)
         return {
             "base": (signs, np.ones((n, 1)), np.zeros((1, 1)), 0.0),
-            "joint": (signs, np.column_stack([np.ones(n), loadings]), joint_penalty, 0.0),
-            "fixed-level": (signs, loadings, np.eye(k), 0.35),
+            "joint": (signs, np.column_stack([np.ones(n), q]), g_prior, 0.0),
+            "fixed-level": (signs, np.sqrt(g) * q, np.eye(k), 0.35),
             "refit": (signs, design.values, np.zeros((k + 1, k + 1)), 0.0),
         }
 

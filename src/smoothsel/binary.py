@@ -65,6 +65,19 @@ The screened orders keep their Laplace value and are marked ``screened``;
 the fit reports their posterior mass as ``screened_mass`` and the budget
 it reached as ``screened_bound``.
 
+Monte Carlo draws come in two levels.  A visited order draws ``mc_draws``
+points if its current posterior share is at least ``_FULL_DRAW_MASS``
+(1e-3), else ``_MIN_DRAWS`` (1000); once the screening budget is met,
+each 1000-draw order whose share has reached 1e-3 is re-run at
+``mc_draws`` from its own stream and cached mode.  So every order of final
+posterior >= 1e-3 is bit-identical to ``binary_log_bf`` at ``mc_draws``,
+and ``mc_draws = 1000`` gives the one-level fit.  An order of posterior p
+whose log value has standard error s moves each inclusion probability by
+about p s (the delta method of ``inclusion_se``): over 64 ``binary-n300``
+fits, with s up to 0.080 nats at 1000 draws, the inclusion curve moved by
+at most 6.1e-5 (median 3.4e-6) against every order at 4000 draws, inside
+the smallest MPM margin |inclusion - 0.5| of 0.041, for half the draws.
+
 One damped-Newton helper finds every mode on this path: it maximizes
 sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2 and reports its
 iterations and convergence.  Order k has A = A_k, c = 0, P = P_k;
@@ -118,8 +131,10 @@ _SEPARATION_LIMIT = 20.0
 # (4.11 nats; see the module docstring).
 _SCREEN_TOL = 1e-6
 _LAPLACE_SLACK = 4.5
-# The smallest Monte Carlo budget of one order.
+# The smallest Monte Carlo budget of one order, and all that fit_binary
+# spends on an order whose posterior share stays below _FULL_DRAW_MASS.
 _MIN_DRAWS = 1000
+_FULL_DRAW_MASS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,11 @@ class BinaryBfEstimate:
 
 @dataclass(frozen=True)
 class BinaryFitConfig:
-    """Settings of the binary selection pipeline."""
+    """Settings of the binary selection pipeline.
+
+    ``mc_draws`` (>= 1000) is the draw budget of a Monte Carlo order whose
+    posterior share is at least 1e-3; an order below that share draws 1000.
+    """
 
     prior_a: float = 1.0
     prior_b: float = 1.0
@@ -579,9 +598,12 @@ def fit_binary(
         Carlo, or Laplace where screened), ``laplace_log_bf``,
         ``screened`` (never order 0), ``mc_std_error`` and ``mc_ess``
         (the effective sample size (sum w)^2 / sum w^2 of the order's
-        importance weights; both 0.0 for order 0 and where screened) and
-        ``newton_iterations`` and ``newton_converged`` of each order's
-        mode (0 and True for order 0).  Per fit: ``screened_mass``, the
+        importance weights; both 0.0 for order 0 and where screened),
+        ``mc_n_draws`` (the draws spent; 0 for order 0 and where screened)
+        and ``newton_iterations`` and ``newton_converged`` of each order's
+        mode (0 and True for order 0).  Per degree: ``inclusion_se``, the
+        delta-method standard error of each inclusion probability from the
+        orders' ``mc_std_error``.  Per fit: ``screened_mass``, the
         posterior mass of the screened orders; ``screened_bound``, e^c
         times their Laplace mass over that of the other orders (at most
         1e-6, 0.0 when none is screened); the Newton count and flag of the
@@ -603,14 +625,16 @@ def fit_binary(
     is at most c below its Monte Carlo value, no posterior probability
     differs from the all-Monte Carlo one by more than e^c
     ``screened_mass``.  On criterion-8 data (n = 300) a fit runs Monte
-    Carlo for 9-18 of the 44 orders, median 10.  Each Monte Carlo order
-    draws ``mc_draws`` points of one (k + 1)-dimensional t proposal
-    around its mode, from the stream keyed by (seed, k), so a kept
-    order's ``log_bf``, ``mc_std_error`` and Newton count equal those of
-    ``binary_log_bf`` on the fit's own design, whatever order the orders
-    are visited in.  The results are identical at any thread-pool size
-    and any BLAS thread count; the module docstring describes the
-    sampler's kernel and the measured Laplace shortfalls.
+    Carlo for 9-18 of the 44 orders, median 10.  A Monte Carlo order
+    draws points of one (k + 1)-dimensional t proposal around its mode,
+    from the stream keyed by (seed, k): ``mc_draws`` of them if its
+    posterior share is at least 1e-3 when visited or at the end, and 1000
+    otherwise.  So a kept order's ``log_bf``, ``mc_std_error`` and Newton
+    count equal those of ``binary_log_bf`` at its own draw count on the
+    fit's own design, whatever order the orders are visited in.  The
+    results are identical at any thread-pool size and any BLAS thread
+    count; the module docstring describes the sampler's kernel, the
+    measured Laplace shortfalls and the error of the 1000-draw orders.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -629,25 +653,37 @@ def fit_binary(
     log_bf = laplace_log_bf.copy()
     mc_se = np.zeros(n_max + 1)
     mc_ess = np.zeros(n_max + 1)
+    n_draws = np.zeros(n_max + 1, dtype=int)
     screened = np.ones(n_max + 1, dtype=bool)
     screened[0] = False
     log_post = laplace_log_bf + prior.log_probs
     # Monte Carlo for the screened order of highest log posterior until the
-    # screened mass, inflated by the slack, is within the budget.
-    while screened.any():
-        log_bound = _LAPLACE_SLACK + logsumexp(log_post[screened]) - logsumexp(
-            log_post[~screened]
-        )
-        if log_bound <= np.log(_SCREEN_TOL):
-            break
-        k = int(np.argmax(np.where(screened, log_post, -np.inf)))
-        log_num, mc_se[k], mc_ess[k], _ = _mc_log_num(a_n, modes[k], config.mc_draws, config.seed)
+    # screened mass, inflated by the slack, is within the budget; an order
+    # below _FULL_DRAW_MASS draws _MIN_DRAWS.  Then re-run at mc_draws, from
+    # the same stream, each such order whose posterior has since reached it.
+    while True:
+        log_bound = -np.inf
+        if screened.any():
+            log_bound = _LAPLACE_SLACK + logsumexp(log_post[screened]) - logsumexp(
+                log_post[~screened]
+            )
+        full = np.exp(log_post - logsumexp(log_post)) >= _FULL_DRAW_MASS
+        if log_bound > np.log(_SCREEN_TOL):
+            pick = screened
+        else:
+            pick = full & (0 < n_draws) & (n_draws < config.mc_draws)
+            if not pick.any():
+                break
+        k = int(np.argmax(np.where(pick, log_post, -np.inf)))
+        budget = config.mc_draws if full[k] else _MIN_DRAWS
+        log_num, mc_se[k], mc_ess[k], n_draws[k] = _mc_log_num(a_n, modes[k], budget, config.seed)
         log_bf[k] = log_num - log_den
         log_post[k] = log_bf[k] + prior.log_probs[k]
         screened[k] = False
-    else:  # every order has its Monte Carlo value
-        log_bound = -np.inf
     posterior, inclusion = _normalized_posterior(log_post)
+    # Delta method: d inclusion_j / d log_post_k = p_k (1[k >= j] - inclusion_j).
+    tail = np.arange(n_max + 1) >= np.arange(1, n_max + 1)[:, None]
+    inclusion_se = np.sqrt((((tail - inclusion[:, None]) * posterior * mc_se) ** 2).sum(axis=1))
     selected = _mpm_order(inclusion)
     marks.append(time.perf_counter())
 
@@ -692,7 +728,9 @@ def fit_binary(
             "log_bf": log_bf,
             "mc_std_error": mc_se,
             "mc_ess": mc_ess,
+            "mc_n_draws": n_draws.tolist(),
             "inclusion": inclusion,
+            "inclusion_se": inclusion_se,
             "mc_draws": config.mc_draws,
             "seed": config.seed,
             "laplace_log_bf": laplace_log_bf,

@@ -17,8 +17,10 @@ from scipy.stats import multivariate_normal
 import smoothsel.binary as binary_module
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
+    _FULL_DRAW_MASS,
     _LAMBDA_BOX,
     _LAPLACE_SLACK,
+    _MIN_DRAWS,
     _SCREEN_TOL,
     _SEPARATION_LIMIT,
     BinaryFitConfig,
@@ -452,7 +454,7 @@ class TestFitBinary:
         assert np.all((probs >= 0.0) & (probs <= 1.0))
         for key in ("log_bf", "mc_std_error", "inclusion", "mc_draws", "seed",
                     "laplace_log_bf", "screened", "screened_mass", "screened_bound",
-                    "mc_ess", "stages"):
+                    "mc_ess", "mc_n_draws", "inclusion_se", "stages"):
             assert key in result.diagnostics, key
         diag = result.diagnostics
         assert len(diag["newton_iterations"]) == result.max_order + 1
@@ -469,6 +471,8 @@ class TestFitBinary:
         screened = payload["diagnostics"]["screened"]
         assert len(screened) == result.max_order + 1 and screened[0] is False
         assert len(payload["diagnostics"]["laplace_log_bf"]) == result.max_order + 1
+        assert len(payload["diagnostics"]["mc_n_draws"]) == result.max_order + 1
+        assert len(payload["diagnostics"]["inclusion_se"]) == result.max_order
         json.dumps(payload)
 
     def test_deterministic_given_config(self):
@@ -669,18 +673,21 @@ def test_criterion_8_fit_values_unchanged():
     # with each order's own factor loadings sqrt(g_k) Q_k and a standard
     # normal prior on their coordinates; the g-prior on a prefix of one
     # signed design moves them by a few ulps, and rel 1e-12 allows for that
-    # and for the last few digits libm may move on another machine.
+    # and for the last few digits libm may move on another machine.  Orders
+    # 5-10 carry posterior below _FULL_DRAW_MASS, so they draw _MIN_DRAWS
+    # points: orders 5 and 10 are pinned to binary_log_bf(..., n_draws=1000).
     x, y = criterion_8_sample(0)
     diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
     assert diag["screened"] == [False] * 11 + [True] * 34
+    assert diag["mc_n_draws"] == [0] + [4000] * 4 + [1000] * 6 + [0] * 34
     pinned = {
-        "log_bf": {1: 27.36738524211941, 5: 21.85852021040671, 10: 17.11323263374021},
+        "log_bf": {1: 27.36738524211941, 5: 21.845570863030105, 10: 17.092677338741396},
         "laplace_log_bf": {
             1: 27.367134586001782, 5: 21.8279676472541, 10: 16.99562930455292,
             20: 6.708424639847834, 44: 5.525447015910487,
         },
         "mc_std_error": {
-            1: 0.005206159983771891, 5: 0.008080187961675247, 10: 0.015307215024218761,
+            1: 0.005206159983771891, 5: 0.016667934184038887, 10: 0.038560700295283204,
         },
     }
     for key, values in pinned.items():
@@ -704,13 +711,30 @@ def signal_probit_fit(mean_fn, domain, n, rep):
     return fit_with_full_monte_carlo(x, y, PredictorScale(*domain), rep)
 
 
+def at_own_draws(x, y, result, full):
+    """Every order's ``binary_log_bf`` at the draws the fit spent on it.
+
+    ``full`` (at ``mc_draws``) stands in for orders that drew none or all of it.
+    """
+    design = build_design(x, UNIT, result.max_order, "legendre")
+    diag = result.diagnostics
+    return [
+        binary_log_bf(y, design, k, n_draws=draws, seed=diag["seed"])
+        if 0 < draws < diag["mc_draws"] else est
+        for k, (draws, est) in enumerate(zip(diag["mc_n_draws"], full))
+    ]
+
+
 @pytest.fixture(scope="module")
 def screened_fits():
-    """Two criterion-8 fits, each with every order's Monte Carlo estimate."""
-    return [
-        (rep, *fit_with_full_monte_carlo(*criterion_8_sample(rep), UNIT, rep))
-        for rep in (0, 1)
-    ]
+    """Two criterion-8 fits, each with every order's Monte Carlo estimate at
+    ``mc_draws`` and at the fit's own draws."""
+    fits = []
+    for rep in (0, 1):
+        x, y = criterion_8_sample(rep)
+        result, full = fit_with_full_monte_carlo(x, y, UNIT, rep)
+        fits.append((rep, result, full, at_own_draws(x, y, result, full)))
+    return fits
 
 
 def assert_laplace_error_within_slack(result, full):
@@ -725,7 +749,7 @@ class TestLaplaceScreening:
     """Monte Carlo runs until the screened orders fit the error budget."""
 
     def test_laplace_agrees_with_monte_carlo_near_the_best(self, screened_fits):
-        for _, result, full in screened_fits:
+        for _, result, full, _ in screened_fits:
             mc = np.array([est.log_bf for est in full])
             log_post = mc + model_prior(result.max_order).log_probs
             near = log_post >= log_post.max() - 10.0
@@ -736,7 +760,7 @@ class TestLaplaceScreening:
         # Greedy and minimal: every Monte Carlo order outranks every screened
         # one by Laplace log posterior, the screened ones fit the budget, and
         # screening the last Monte Carlo order too would not have.
-        for _, result, _ in screened_fits:
+        for _, result, _, _ in screened_fits:
             diag = result.diagnostics
             screened = np.array(diag["screened"])
             prior = model_prior(result.max_order).log_probs
@@ -761,16 +785,19 @@ class TestLaplaceScreening:
             assert np.all(diag["mc_std_error"][screened] == 0.0)
 
     def test_kept_orders_are_exactly_binary_log_bf(self, screened_fits):
-        for _, result, full in screened_fits:
+        # Each at its own draw count: mc_draws or _MIN_DRAWS.
+        for _, result, _, own in screened_fits:
             diag = result.diagnostics
             for k in np.flatnonzero(~np.array(diag["screened"])):
-                assert diag["log_bf"][k] == full[k].log_bf
-                assert diag["mc_std_error"][k] == full[k].mc_std_error
-                assert diag["newton_iterations"][k] == full[k].newton_iterations
+                assert diag["mc_n_draws"][k] == own[k].n_draws
+                assert diag["log_bf"][k] == own[k].log_bf
+                assert diag["mc_std_error"][k] == own[k].mc_std_error
+                assert diag["newton_iterations"][k] == own[k].newton_iterations
 
     def test_posterior_matches_full_monte_carlo_oracle(self, screened_fits):
-        for _, result, full in screened_fits:
-            log_post = np.array([est.log_bf for est in full])
+        # Kept orders at the fit's own draws, screened ones at mc_draws.
+        for _, result, _, own in screened_fits:
+            log_post = np.array([est.log_bf for est in own])
             log_post += model_prior(result.max_order).log_probs
             oracle, inclusion = _normalized_posterior(log_post)
             mass = result.diagnostics["screened_mass"]
@@ -780,8 +807,70 @@ class TestLaplaceScreening:
             assert np.max(np.abs(result.posterior - oracle)) <= bound + 1e-12
             assert result.selected_order == _mpm_order(inclusion)
 
+    def test_full_draws_wherever_the_posterior_has_mass(self, screened_fits):
+        # Orders below _FULL_DRAW_MASS draw _MIN_DRAWS points; the inclusion
+        # curve moved from the all-mc_draws oracle by 2.2e-6 (replicate 0) and
+        # 6.9e-7 (replicate 1).
+        for _, result, full, _ in screened_fits:
+            diag = result.diagnostics
+            draws = np.array(diag["mc_n_draws"])
+            screened = np.array(diag["screened"])
+            assert draws[0] == 0 and np.all(draws[screened] == 0)
+            assert set(draws[~screened][1:]) == {_MIN_DRAWS, diag["mc_draws"]}
+            heavy = result.posterior >= _FULL_DRAW_MASS
+            assert np.all(draws[1:][heavy[1:]] == diag["mc_draws"])
+            log_post = np.array([est.log_bf for est in full])
+            _, inclusion = _normalized_posterior(log_post + model_prior(result.max_order).log_probs)
+            assert np.max(np.abs(diag["inclusion"] - inclusion)) <= 1e-3
+
+    def test_top_up_reruns_an_order_that_gained_mass(self, monkeypatch):
+        # Order 1 of replicate 0 carries posterior 0.93.  Lowered 12 nats in
+        # Laplace, it is visited below _FULL_DRAW_MASS and draws _MIN_DRAWS
+        # points; its Monte Carlo value restores its mass, so the top-up pass
+        # re-runs it at mc_draws from the same stream and cached mode.
+        x, y = criterion_8_sample(0)
+        laplace, sample = binary_module._laplace_log_num, binary_module._mc_log_num
+        calls = []
+
+        def lowered(mode, n):
+            return laplace(mode, n) - (12.0 if mode.theta.size == 2 else 0.0)
+
+        def recorded(a_n, mode, n_draws, seed):
+            calls.append((mode.theta.size - 1, n_draws))
+            return sample(a_n, mode, n_draws, seed)
+
+        monkeypatch.setattr(binary_module, "_laplace_log_num", lowered)
+        monkeypatch.setattr(binary_module, "_mc_log_num", recorded)
+        result = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
+        diag = result.diagnostics
+        assert [c for c in calls if c[0] == 1] == [(1, _MIN_DRAWS), (1, 4000)]
+        assert diag["mc_n_draws"][1] == 4000 and result.posterior[1] > 0.5
+        est = binary_log_bf(y, build_design(x, UNIT, result.max_order, "legendre"), 1, seed=0)
+        assert diag["log_bf"][1] == est.log_bf
+        assert diag["mc_std_error"][1] == est.mc_std_error
+        heavy = result.posterior >= _FULL_DRAW_MASS
+        assert np.all(np.array(diag["mc_n_draws"])[1:][heavy[1:]] == 4000)
+        assert diag["screened_bound"] <= _SCREEN_TOL
+
+    def test_inclusion_se_is_the_delta_method(self, screened_fits):
+        # sum_k (d inclusion_j / d log_post_k)^2 se_k^2, the derivatives by
+        # central differences of the posterior normalization.
+        h = 1e-5
+        for _, result, _, _ in screened_fits:
+            diag = result.diagnostics
+            log_post = diag["log_bf"] + model_prior(result.max_order).log_probs
+            jac = np.empty((result.max_order, result.max_order + 1))
+            for k in range(result.max_order + 1):
+                step = np.zeros_like(log_post)
+                step[k] = h
+                jac[:, k] = (_normalized_posterior(log_post + step)[1]
+                             - _normalized_posterior(log_post - step)[1]) / (2.0 * h)
+            want = np.sqrt(((jac * diag["mc_std_error"]) ** 2).sum(axis=1))
+            np.testing.assert_allclose(diag["inclusion_se"], want, rtol=1e-6, atol=1e-10)
+            assert diag["inclusion_se"].max() > 1e-5
+
     def test_laplace_error_within_the_slack(self, screened_fits):
-        for _, result, full in screened_fits:
+        for _, result, full, _ in screened_fits:
             assert_laplace_error_within_slack(result, full)
         assert_laplace_error_within_slack(*signal_probit_fit(mean_pwlinear, (-3.0, 3.0), 300, 1))
 
@@ -793,21 +882,21 @@ class TestLaplaceScreening:
         assert_laplace_error_within_slack(*signal_probit_fit(mean_poly5, (0.0, 1.0), 1000, rep))
 
     def test_mc_ess_only_for_monte_carlo_orders(self, screened_fits):
-        for _, result, full in screened_fits:
+        for _, result, _, _ in screened_fits:
             diag = result.diagnostics
             ess, screened = diag["mc_ess"], np.array(diag["screened"])
             assert ess[0] == 0.0 and np.all(ess[screened] == 0.0)
             for k in np.flatnonzero(~screened)[1:]:
-                assert 1.0 < ess[k] <= full[k].n_draws
+                assert 1.0 < ess[k] <= diag["mc_n_draws"][k]
 
     def test_screened_mask_invariant_to_label_flip(self, screened_fits):
-        rep, result, _ = screened_fits[0]
+        rep, result, _, _ = screened_fits[0]
         x, y_flip = criterion_8_sample(rep, flip=True)
         flipped = fit_binary(x, y_flip, BinaryFitConfig(seed=rep, scale=UNIT))
         assert flipped.diagnostics["screened"] == result.diagnostics["screened"]
 
     def test_stages_sum_to_the_fit_time(self, screened_fits):
-        for _, result, _ in screened_fits:
+        for _, result, _, _ in screened_fits:
             stages = result.diagnostics["stages"]
             assert list(stages) == ["design", "laplace", "monte_carlo", "refit"]
             assert all(value >= 0.0 for value in stages.values())

@@ -14,12 +14,14 @@ A_N = [s | s Q_N], built once per fit from one QR of the degree columns,
 the order-k integral is (2 pi g_k)^(-k/2) times that of
 exp(sum_i log Phi((A_k theta)_i) - theta' P_k theta / 2) over theta, for
 the leading k + 1 columns A_k of A_N and P_k = diag(0, I / g_k).
-Order 0, the base model, is the level alone.  One importance sampler
-serves every such integral (Geweke 1989): antithetic pairs of
-multivariate t draws around the integrand's Newton mode, scaled by a
-triangular factor of the mode curvature.  Each order draws from its own
-seed stream, keyed by the seed and the order, so estimates are identical
-under any execution order.
+Order 0, the base model, is the level alone.  Orders 1-3 take an
+adaptive Gauss-Hermite product rule, 5 nodes a coordinate around the
+integrand's Newton mode, scaled by a triangular factor of the mode
+curvature; its error estimate is the change from the 3-node rule.  One
+importance sampler serves every higher order (Geweke 1989): antithetic
+pairs of multivariate t draws, centred and scaled the same way.  Each
+order draws from its own seed stream, keyed by the seed and the order, so
+estimates are identical under any execution order.
 
 The orthant-mass kernel is nearly all of the work.  Each draw's log mass
 is a sum of logs of partial products of Phi over its latent coordinates,
@@ -39,13 +41,15 @@ design to whole chunks before the product, so the product's columns fill
 whole tiles of the BLAS kernel and results are identical at any BLAS
 thread count too.
 
-``fit_binary`` makes one pass per order over the one signed design.  Each
+``fit_binary`` finds the modes in one chain over the nested orders, each
+started from the mode of the order below with a zero appended.  Each
 order's mode and curvature give its Laplace log Bayes factor (Tierney &
-Kadane 1986), and Monte Carlo runs only where the posterior has mass,
-centered on that same mode.  The denominator, the base integral over the
-level alone, uses the fixed sinh rule of the Gaussian path around the
-order-0 mode.  All orders but the base start screened; Monte Carlo runs
-for the screened order of highest log posterior until e^c times the
+Kadane 1986); orders 1-3 take the product rule, and above them Monte
+Carlo runs only where the posterior has mass, centered on that same mode.
+The denominator, the base integral over the level alone, uses the fixed
+sinh rule of the Gaussian path around the order-0 mode.  All orders above
+3 start screened; Monte Carlo runs for the screened order of highest log
+posterior until e^c times the
 Laplace posterior mass of the screened orders, over the mass of the rest,
 is at most ``_SCREEN_TOL`` (1e-6).  The slack c = ``_LAPLACE_SLACK`` (4.5
 nats) bounds how far the Laplace value falls short of the Monte Carlo
@@ -99,6 +103,7 @@ from math import lgamma, pi
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
 
 from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale
@@ -135,6 +140,9 @@ _LAPLACE_SLACK = 4.5
 # spends on an order whose posterior share stays below _FULL_DRAW_MASS.
 _MIN_DRAWS = 1000
 _FULL_DRAW_MASS = 1e-3
+# Orders with k + 1 <= _GRID_DIM take the _GRID_NODES-point product rule.
+_GRID_DIM = 4
+_GRID_NODES = 5
 
 
 @dataclass(frozen=True)
@@ -181,13 +189,14 @@ def _two_sided_orthant(y: np.ndarray) -> OrthantSpec:
 
 @dataclass(frozen=True)
 class BinaryBfEstimate:
-    """Monte Carlo Bayes factor estimate for one order.
+    """Bayes factor estimate for one order.
 
     ``n_draws`` counts the importance draws spent on the order's integral
     over theta = (lambda_0, w): whole antithetic pairs, at least the budget
-    asked for (0 for order 0, which needs no sampling).
+    asked for (0 for orders 0-3, which need no sampling; at 1-3
+    ``mc_std_error`` is the product rule's error estimate).
     ``newton_iterations`` and ``newton_converged`` report the search for the
-    order-k mode that centers the sampler; order 0 needs none.
+    order-k mode that centers the rule or the sampler; order 0 needs none.
     """
 
     log_bf: float
@@ -202,8 +211,8 @@ class BinaryBfEstimate:
 class BinaryFitConfig:
     """Settings of the binary selection pipeline.
 
-    ``mc_draws`` (>= 1000) is the draw budget of a Monte Carlo order whose
-    posterior share is at least 1e-3; an order below that share draws 1000.
+    ``mc_draws`` (>= 1000) is the draw budget of a Monte Carlo order (k >= 4)
+    whose posterior share is at least 1e-3; one below that share draws 1000.
     """
 
     prior_a: float = 1.0
@@ -229,6 +238,8 @@ def _signed_design(spec: OrthantSpec, design: DesignMatrix, k: int) -> np.ndarra
     cols = design.values[:, 1:]
     q, r = np.linalg.qr(cols)
     _check_rank(np.diag(r)[:k], np.sqrt((cols[:, :k] ** 2).sum(axis=0)))
+    # Canonical signs, diag(R) >= 0, so a row permutation flips no column of Q.
+    q *= np.where(np.diag(r) < 0, -1.0, 1.0)
     return spec.signs[:, None] * np.column_stack([np.ones(spec.n), q])
 
 
@@ -467,14 +478,15 @@ def orthant_probability(
     return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log
 
 
-def _order_mode(spec: OrthantSpec, a_n: np.ndarray, k: int) -> _NewtonMode:
-    """The mode of order k's objective, on the leading k + 1 columns of A_N."""
-    return _newton_mode(
-        a_n[:, : k + 1],
-        _g_prior(spec.n, k)[0],
-        np.concatenate([_level_start(spec), np.zeros(k)]),
-        level_box=_LAMBDA_BOX,
-    )
+def _order_modes(spec: OrthantSpec, a_n: np.ndarray, k: int) -> list[_NewtonMode]:
+    """The modes of orders 0..k: order 0 starts from the base level, and
+    order j from the mode of order j - 1 with a zero appended."""
+    modes, start = [], _level_start(spec)
+    for j in range(k + 1):
+        penalty = _g_prior(spec.n, j)[0]
+        modes.append(_newton_mode(a_n[:, : j + 1], penalty, start, level_box=_LAMBDA_BOX))
+        start = np.append(modes[-1].theta, 0.0)
+    return modes
 
 
 def _log_base_integral(spec: OrthantSpec, base: _NewtonMode) -> float:
@@ -507,10 +519,8 @@ def _mc_log_num(
     """Monte Carlo log marginal likelihood of one order, centered on its mode.
 
     The order k is that of ``mode``; its integral of exp(objective) is
-    sampled by :func:`_importance_sample` from the stream keyed by (seed, k).
-    Returns it, the delta-method standard error of the log, the effective
-    sample size (sum w)^2 / sum w^2 of the draws' importance weights w, and
-    the draws spent: whole antithetic pairs, at least ``n_draws``.
+    sampled by :func:`_importance_sample` from the stream keyed by (seed, k),
+    whose four results it returns with the g-prior's constant added.
     """
     k = mode.theta.size - 1
     penalty, log_norm = _g_prior(a_n.shape[0], k)
@@ -520,6 +530,32 @@ def _mc_log_num(
     return float(log_int + log_norm), se_log, ess, draws
 
 
+def _grid_log_num(a_n: np.ndarray, mode: _NewtonMode) -> tuple[float, float]:
+    """Log marginal likelihood of ``mode``'s order by adaptive Gauss-Hermite.
+
+    ``hermegauss(m)`` nodes u in each coordinate sit at theta = theta_hat +
+    L^-T u for the mode curvature L L' (Naylor & Smith 1982; Liu & Pierce
+    1994).  Returns the log integral at m = ``_GRID_NODES``, with the
+    g-prior's constant, and its error estimate |log Q_m - log Q_(m-2)|.
+    """
+    dim = mode.theta.size
+    penalty, log_norm = _g_prior(a_n.shape[0], dim - 1)
+    chol = np.linalg.cholesky(mode.curvature)
+
+    def log_rule(m: int) -> float:
+        nodes, weights = hermegauss(m)
+        index = np.indices((m,) * dim).reshape(dim, -1).T
+        u = nodes[index]
+        theta = mode.theta + u @ np.linalg.inv(chol)
+        log_f = _log_orthant_mass(theta, a_n[:, :dim])
+        log_f -= 0.5 * ((theta @ penalty) * theta).sum(axis=1)
+        log_f += 0.5 * (u * u).sum(axis=1) + np.log(weights)[index].sum(axis=1)
+        return float(logsumexp(log_f) - np.sum(np.log(np.diag(chol))) + log_norm)
+
+    fine = log_rule(_GRID_NODES)
+    return fine, abs(fine - log_rule(_GRID_NODES - 2))
+
+
 def binary_log_bf(
     y: np.ndarray,
     design: DesignMatrix,
@@ -527,7 +563,9 @@ def binary_log_bf(
     n_draws: int = 4000,
     seed: int = 0,
 ) -> BinaryBfEstimate:
-    """Monte Carlo log Bayes factor of the order-k probit model vs the base.
+    """Log Bayes factor of the order-k probit model vs the base.
+
+    Orders 1-3 take the product rule; ``n_draws`` and ``seed`` act on k >= 4.
 
     Parameters
     ----------
@@ -546,8 +584,7 @@ def binary_log_bf(
     Returns
     -------
     BinaryBfEstimate
-        Log Bayes factor, its delta-method standard error, and the
-        bookkeeping of the run.
+        Log Bayes factor, its error, and the bookkeeping of the run.
     """
     if design.basis != LEGENDRE:
         raise ValueError("the probit model requires a Legendre design")
@@ -562,9 +599,13 @@ def binary_log_bf(
         return BinaryBfEstimate(log_bf=0.0, mc_std_error=0.0, n_draws=0, seed=seed)
 
     a_n = _signed_design(spec, design, k)
-    mode = _order_mode(spec, a_n, k)
-    log_num, se_log, _, draws = _mc_log_num(a_n, mode, n_draws, seed)
-    log_den = _log_base_integral(spec, _order_mode(spec, a_n, 0))
+    modes = _order_modes(spec, a_n, k)
+    mode = modes[k]
+    if k < _GRID_DIM:
+        (log_num, se_log), draws = _grid_log_num(a_n, mode), 0
+    else:
+        log_num, se_log, _, draws = _mc_log_num(a_n, mode, n_draws, seed)
+    log_den = _log_base_integral(spec, modes[0])
     return BinaryBfEstimate(
         log_bf=log_num - log_den, mc_std_error=se_log, n_draws=draws,
         seed=seed, newton_iterations=mode.iterations, newton_converged=mode.converged,
@@ -594,14 +635,16 @@ def fit_binary(
         likelihood Legendre coefficients of the selected order
         (ridge-stabilized under separation), ``predict`` returns success
         probabilities, ``eta_hat`` reports the same curve's Bernstein
-        ordinates.  The diagnostics carry, per order: ``log_bf`` (Monte
-        Carlo, or Laplace where screened), ``laplace_log_bf``,
-        ``screened`` (never order 0), ``mc_std_error`` and ``mc_ess``
-        (the effective sample size (sum w)^2 / sum w^2 of the order's
-        importance weights; both 0.0 for order 0 and where screened),
-        ``mc_n_draws`` (the draws spent; 0 for order 0 and where screened)
-        and ``newton_iterations`` and ``newton_converged`` of each order's
-        mode (0 and True for order 0).  Per degree: ``inclusion_se``, the
+        ordinates.  The diagnostics carry, per order: ``log_bf`` (the
+        product rule at orders 1-3, Monte Carlo, or Laplace where
+        screened), ``laplace_log_bf``, ``screened`` (never orders 0-3),
+        ``grid_nodes`` (5^(k+1) at orders 1-3, else 0), ``mc_std_error``
+        (the rule's error estimate at orders 1-3) and ``mc_ess`` (the
+        effective sample size (sum w)^2 / sum w^2 of the importance
+        weights; 0.0 at orders 1-3), both 0.0 for order 0 and where
+        screened, ``mc_n_draws`` (0 for orders 0-3 and where screened), and
+        ``newton_iterations`` and ``newton_converged`` of each order's mode
+        (0 and True for order 0).  Per degree: ``inclusion_se``, the
         delta-method standard error of each inclusion probability from the
         orders' ``mc_std_error``.  Per fit: ``screened_mass``, the
         posterior mass of the screened orders; ``screened_bound``, e^c
@@ -610,24 +653,26 @@ def fit_binary(
         base level (``base_newton_*``) and of the refit (``refit_newton_*``);
         the Bernstein error bound; and ``stages``, the seconds spent in
         ``design`` (with the input checks), ``laplace``, ``monte_carlo``
-        (with the selection) and ``refit``, which sum to ``timing_seconds``.
+        (with the product rule and the selection) and ``refit``, which sum
+        to ``timing_seconds``.
 
     Notes
     -----
     Order k is the g-prior w ~ N(0, (2n/(k+1)) I) on the first k
     orthonormalized degree columns, so every order, the base included, is
     a column prefix of one signed design built from one QR per fit, and
-    each order's mode is found once.  Every order is scored by its Laplace
-    log Bayes factor first.  Monte Carlo then runs for the screened order
-    of highest log posterior, one at a time, until ``screened_bound`` is
-    at most 1e-6, with the slack c = 4.5 nats covering the Laplace
-    under-estimate.  If every screened order's Laplace log Bayes factor
-    is at most c below its Monte Carlo value, no posterior probability
-    differs from the all-Monte Carlo one by more than e^c
-    ``screened_mass``.  On criterion-8 data (n = 300) a fit runs Monte
-    Carlo for 9-18 of the 44 orders, median 10.  A Monte Carlo order
-    draws points of one (k + 1)-dimensional t proposal around its mode,
-    from the stream keyed by (seed, k): ``mc_draws`` of them if its
+    each order's mode is found once, started from the mode of the order
+    below.  Every order is scored by its Laplace log Bayes factor first,
+    and orders 1-3 by the product rule.  Monte Carlo then runs for the
+    screened order of highest log posterior, one at a time, until
+    ``screened_bound`` is at most 1e-6, with the slack c = 4.5 nats
+    covering the Laplace under-estimate.  If every screened order's
+    Laplace log Bayes factor is at most c below its Monte Carlo value, no
+    posterior probability differs from the all-Monte Carlo one by more
+    than e^c ``screened_mass``.  On 50 criterion-8 datasets (n = 300) a
+    fit runs Monte Carlo for 5-12 of the 41 orders above 3, median 7.  Such
+    an order draws points of one (k + 1)-dimensional t proposal around its
+    mode, from the stream keyed by (seed, k): ``mc_draws`` of them if its
     posterior share is at least 1e-3 when visited or at the end, and 1000
     otherwise.  So a kept order's ``log_bf``, ``mc_std_error`` and Newton
     count equal those of ``binary_log_bf`` at its own draw count on the
@@ -645,7 +690,7 @@ def fit_binary(
     marks.append(time.perf_counter())
 
     a_n = _signed_design(spec, design, n_max)
-    modes = [_order_mode(spec, a_n, k) for k in range(n_max + 1)]
+    modes = _order_modes(spec, a_n, n_max)
     log_den = _log_base_integral(spec, modes[0])
     laplace_log_bf = np.array([0.0] + [_laplace_log_num(m, n) - log_den for m in modes[1:]])
     marks.append(time.perf_counter())
@@ -654,9 +699,12 @@ def fit_binary(
     mc_se = np.zeros(n_max + 1)
     mc_ess = np.zeros(n_max + 1)
     n_draws = np.zeros(n_max + 1, dtype=int)
-    screened = np.ones(n_max + 1, dtype=bool)
-    screened[0] = False
-    log_post = laplace_log_bf + prior.log_probs
+    grid_nodes = [0] * (n_max + 1)
+    screened = np.arange(n_max + 1) >= _GRID_DIM
+    for k in range(1, min(_GRID_DIM, n_max + 1)):
+        log_num, mc_se[k] = _grid_log_num(a_n, modes[k])
+        log_bf[k], grid_nodes[k] = log_num - log_den, _GRID_NODES ** (k + 1)
+    log_post = log_bf + prior.log_probs
     # Monte Carlo for the screened order of highest log posterior until the
     # screened mass, inflated by the slack, is within the budget; an order
     # below _FULL_DRAW_MASS draws _MIN_DRAWS.  Then re-run at mc_draws, from
@@ -729,6 +777,7 @@ def fit_binary(
             "mc_std_error": mc_se,
             "mc_ess": mc_ess,
             "mc_n_draws": n_draws.tolist(),
+            "grid_nodes": grid_nodes,
             "inclusion": inclusion,
             "inclusion_se": inclusion_se,
             "mc_draws": config.mc_draws,

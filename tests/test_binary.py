@@ -18,6 +18,7 @@ import smoothsel.binary as binary_module
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
     _FULL_DRAW_MASS,
+    _GRID_DIM,
     _LAMBDA_BOX,
     _LAPLACE_SLACK,
     _MIN_DRAWS,
@@ -26,10 +27,13 @@ from smoothsel.binary import (
     BinaryFitConfig,
     OrthantSpec,
     _g_prior,
+    _grid_log_num,
+    _level_start,
     _importance_sample,
     _log_orthant_mass,
+    _laplace_log_num,
     _newton_mode,
-    _order_mode,
+    _order_modes,
     _signed_design,
     binary_log_bf,
     fit_binary,
@@ -333,17 +337,19 @@ def quadrature_log_bf(y, design, k):
 class TestBinaryLogBf:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_product_quadrature(self, k):
-        # An oracle independent of the sampler, its modes and its design.
-        # Leaving out the g-prior's constant (2 pi g_k)^(-k/2) against
-        # (2 pi)^(-k/2) would move the estimate by 1.24 (k = 1) and 2.08
-        # (k = 2) nats, hundreds of standard errors.
+        # An oracle independent of the adaptive rule, its modes and its
+        # design.  The rule was 3.5e-5 (k = 1) and 3.1e-5 (k = 2) nats off,
+        # inside its error estimate of about 1.2e-3.  Leaving out the
+        # g-prior's constant (2 pi g_k)^(-k/2) against (2 pi)^(-k/2) would
+        # move the estimate by 1.24 (k = 1) and 2.08 (k = 2) nats.
         rng = np.random.default_rng([12, 0])
         x = rng.uniform(0, 1, 12)
         y = (rng.uniform(size=12) < ndtr(2.0 * x - 1.0)).astype(float)
         design = build_design(x, UNIT, 2, "legendre")
         est = binary_log_bf(y, design, k, n_draws=4000, seed=0)
-        assert 0.0 < est.mc_std_error < 0.01
-        assert abs(est.log_bf - quadrature_log_bf(y, design, k)) <= 4.0 * est.mc_std_error
+        assert est.n_draws == 0 and 0.0 < est.mc_std_error < 0.01
+        error = abs(est.log_bf - quadrature_log_bf(y, design, k))
+        assert error <= min(1e-4, est.mc_std_error)
 
     def test_base_against_itself_is_exact_zero(self):
         design = legendre_design(20, 2, seed=0)
@@ -355,18 +361,19 @@ class TestBinaryLogBf:
     def test_two_seeds_agree_within_combined_error(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, 20)
-        design = build_design(x, UNIT, 3, "legendre")
+        design = build_design(x, UNIT, 4, "legendre")
         y = (rng.uniform(size=20) < 0.5).astype(int)
-        a = binary_log_bf(y, design, 2, n_draws=4000, seed=1)
-        b = binary_log_bf(y, design, 2, n_draws=4000, seed=2)
+        a = binary_log_bf(y, design, 4, n_draws=4000, seed=1)
+        b = binary_log_bf(y, design, 4, n_draws=4000, seed=2)
         combined = float(np.hypot(a.mc_std_error, b.mc_std_error))
         assert abs(a.log_bf - b.log_bf) <= 4.0 * combined
 
     def test_deterministic_given_seed(self):
-        design = legendre_design(15, 2, seed=4)
+        # Order 4, the lowest order above the product rule, draws from its stream.
+        design = legendre_design(15, 4, seed=4)
         y = (np.arange(15) % 3 == 0).astype(int)
-        a = binary_log_bf(y, design, 2, n_draws=1200, seed=9)
-        b = binary_log_bf(y, design, 2, n_draws=1200, seed=9)
+        a = binary_log_bf(y, design, 4, n_draws=1200, seed=9)
+        b = binary_log_bf(y, design, 4, n_draws=1200, seed=9)
         assert (a.log_bf, a.mc_std_error) == (b.log_bf, b.mc_std_error)
         # The budget is a floor: draws round up to whole antithetic blocks.
         assert a.n_draws >= 1200 and a.n_draws == b.n_draws
@@ -379,10 +386,10 @@ class TestBinaryLogBf:
         for trial in range(20):
             rng = np.random.default_rng([77, trial])
             x = rng.uniform(0, 1, 30)
-            design = build_design(x, UNIT, 3, "legendre")
+            design = build_design(x, UNIT, 4, "legendre")
             y = (rng.uniform(size=30) < 0.4).astype(int)
-            small = binary_log_bf(y, design, 3, n_draws=2000, seed=trial)
-            large = binary_log_bf(y, design, 3, n_draws=4000, seed=trial)
+            small = binary_log_bf(y, design, 4, n_draws=2000, seed=trial)
+            large = binary_log_bf(y, design, 4, n_draws=4000, seed=trial)
             ratios.append(large.mc_std_error / small.mc_std_error)
         assert 0.6 <= float(np.mean(ratios)) <= 0.85
         assert 0.6 <= float(np.median(ratios)) <= 0.85
@@ -608,7 +615,7 @@ class TestParallelSampler:
         n, k, n_draws = 40, 2, 1300
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
         a_n = _signed_design(spec, legendre_design(n, k, seed=6), k)
-        mode = _order_mode(spec, a_n, k)
+        mode = _order_modes(spec, a_n, k)[-1]
 
         def run():
             return _importance_sample(
@@ -669,30 +676,74 @@ def criterion_8_sample(rep, flip=False):
 
 
 def test_criterion_8_fit_values_unchanged():
-    # Replicate 0 runs Monte Carlo at orders 1-10.  The values were recorded
-    # with each order's own factor loadings sqrt(g_k) Q_k and a standard
-    # normal prior on their coordinates; the g-prior on a prefix of one
-    # signed design moves them by a few ulps, and rel 1e-12 allows for that
-    # and for the last few digits libm may move on another machine.  Orders
-    # 5-10 carry posterior below _FULL_DRAW_MASS, so they draw _MIN_DRAWS
-    # points: orders 5 and 10 are pinned to binary_log_bf(..., n_draws=1000).
+    # Replicate 0 takes the product rule at orders 1-3 and Monte Carlo at
+    # orders 4-10.  Order 1 is the rule's value; the mean of 1.2M importance
+    # draws (six streams of 200000) lies 1.5e-4 nats above it, 0.65 of that
+    # mean's standard error.  Orders 5-10 carry posterior below
+    # _FULL_DRAW_MASS, so they draw _MIN_DRAWS points: orders 5 and 10 are
+    # pinned to binary_log_bf(..., n_draws=1000) on the design with
+    # canonical QR signs.  The Laplace values were recorded with each
+    # order's own factor loadings sqrt(g_k) Q_k and a standard normal prior
+    # on their coordinates; the g-prior on a prefix of one signed design
+    # moves them by a few ulps, and rel 1e-12 allows for that and for the
+    # last few digits libm may move on another machine.
     x, y = criterion_8_sample(0)
     diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
     assert diag["screened"] == [False] * 11 + [True] * 34
-    assert diag["mc_n_draws"] == [0] + [4000] * 4 + [1000] * 6 + [0] * 34
+    assert diag["grid_nodes"] == [0, 25, 125, 625] + [0] * 41
+    assert diag["mc_n_draws"] == [0] * 4 + [4000] + [1000] * 6 + [0] * 34
     pinned = {
-        "log_bf": {1: 27.36738524211941, 5: 21.845570863030105, 10: 17.092677338741396},
+        "log_bf": {1: 27.368341995781435, 5: 21.840450256574172, 10: 17.094335485931424},
         "laplace_log_bf": {
             1: 27.367134586001782, 5: 21.8279676472541, 10: 16.99562930455292,
             20: 6.708424639847834, 44: 5.525447015910487,
         },
         "mc_std_error": {
-            1: 0.005206159983771891, 5: 0.016667934184038887, 10: 0.038560700295283204,
+            1: 0.00017437505582051926, 5: 0.016710770462619987, 10: 0.03195149683339966,
         },
     }
     for key, values in pinned.items():
         for k, want in values.items():
             assert diag[key][k] == pytest.approx(want, rel=1e-12), (key, k)
+
+
+def criterion_8_modes(rep, k):
+    """The signed design and the chain's modes of orders 0..k of one replicate."""
+    x, y = criterion_8_sample(rep)
+    spec = OrthantSpec.from_response(y)
+    a_n = _signed_design(spec, build_design(x, UNIT, 44, "legendre"), 44)
+    return spec, a_n, _order_modes(spec, a_n, k)
+
+
+class TestProductRule:
+    """Orders 1-3 take an adaptive Gauss-Hermite rule around their modes."""
+
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_seven_nodes_agree_with_five(self, monkeypatch, rep):
+        # Over the 16 binary-n300 fits |Q_7 - Q_5| was at most 5.3e-6 nats
+        # and the reported |Q_5 - Q_3| up to 5.3e-4, so the estimate is
+        # conservative.
+        _, a_n, modes = criterion_8_modes(rep, _GRID_DIM - 1)
+        for mode in modes[1:]:
+            five, error = _grid_log_num(a_n, mode)
+            monkeypatch.setattr(binary_module, "_GRID_NODES", 7)
+            seven, _ = _grid_log_num(a_n, mode)
+            monkeypatch.setattr(binary_module, "_GRID_NODES", 5)
+            assert abs(seven - five) <= min(1e-5, error)
+
+    def test_warm_chain_matches_cold_starts(self):
+        # Each order started from the previous mode with a zero appended,
+        # against a start from the base level and zeros.
+        spec, a_n, warm = criterion_8_modes(0, 44)
+        cold = [
+            _newton_mode(a_n[:, : k + 1], _g_prior(spec.n, k)[0],
+                         np.r_[_level_start(spec), np.zeros(k)], level_box=_LAMBDA_BOX)
+            for k in range(45)
+        ]
+        assert all(m.converged for m in warm + cold)
+        for w, c in zip(warm, cold):
+            assert abs(_laplace_log_num(w, spec.n) - _laplace_log_num(c, spec.n)) <= 1e-10
+        assert sum(m.iterations for m in warm) < sum(m.iterations for m in cold)
 
 
 def fit_with_full_monte_carlo(x, y, scale, seed):
@@ -723,6 +774,13 @@ def at_own_draws(x, y, result, full):
         if 0 < draws < diag["mc_draws"] else est
         for k, (draws, est) in enumerate(zip(diag["mc_n_draws"], full))
     ]
+
+
+def monte_carlo_orders(diag):
+    """The orders that ran Monte Carlo: not the base, gridded or screened."""
+    mask = (np.array(diag["grid_nodes"]) == 0) & ~np.array(diag["screened"])
+    mask[0] = False
+    return mask
 
 
 @pytest.fixture(scope="module")
@@ -768,7 +826,7 @@ class TestLaplaceScreening:
             final_post = diag["log_bf"] + prior
             assert 0 < screened.sum() < result.max_order
             assert not screened[0]
-            mc_orders = np.flatnonzero(~screened)[1:]
+            mc_orders = np.flatnonzero(monte_carlo_orders(diag))
             assert laplace_post[mc_orders].min() > laplace_post[screened].max()
 
             def log_bound(mask):
@@ -785,7 +843,7 @@ class TestLaplaceScreening:
             assert np.all(diag["mc_std_error"][screened] == 0.0)
 
     def test_kept_orders_are_exactly_binary_log_bf(self, screened_fits):
-        # Each at its own draw count: mc_draws or _MIN_DRAWS.
+        # Each at its own draw count: mc_draws, _MIN_DRAWS, or none where gridded.
         for _, result, _, own in screened_fits:
             diag = result.diagnostics
             for k in np.flatnonzero(~np.array(diag["screened"])):
@@ -808,32 +866,35 @@ class TestLaplaceScreening:
             assert result.selected_order == _mpm_order(inclusion)
 
     def test_full_draws_wherever_the_posterior_has_mass(self, screened_fits):
-        # Orders below _FULL_DRAW_MASS draw _MIN_DRAWS points; the inclusion
-        # curve moved from the all-mc_draws oracle by 2.2e-6 (replicate 0) and
-        # 6.9e-7 (replicate 1).
+        # Monte Carlo orders below _FULL_DRAW_MASS draw _MIN_DRAWS points; the
+        # inclusion curve moved from the all-mc_draws oracle by 3.3e-6
+        # (replicate 0) and 9.5e-7 (replicate 1).
+        levels = set()
         for _, result, full, _ in screened_fits:
             diag = result.diagnostics
             draws = np.array(diag["mc_n_draws"])
-            screened = np.array(diag["screened"])
-            assert draws[0] == 0 and np.all(draws[screened] == 0)
-            assert set(draws[~screened][1:]) == {_MIN_DRAWS, diag["mc_draws"]}
+            monte_carlo = monte_carlo_orders(diag)
+            assert np.all(draws[~monte_carlo] == 0)
+            levels |= set(draws[monte_carlo])
             heavy = result.posterior >= _FULL_DRAW_MASS
-            assert np.all(draws[1:][heavy[1:]] == diag["mc_draws"])
+            assert np.all(draws[heavy & monte_carlo] == diag["mc_draws"])
             log_post = np.array([est.log_bf for est in full])
             _, inclusion = _normalized_posterior(log_post + model_prior(result.max_order).log_probs)
             assert np.max(np.abs(diag["inclusion"] - inclusion)) <= 1e-3
+        assert levels == {_MIN_DRAWS, 4000}
 
     def test_top_up_reruns_an_order_that_gained_mass(self, monkeypatch):
-        # Order 1 of replicate 0 carries posterior 0.93.  Lowered 12 nats in
-        # Laplace, it is visited below _FULL_DRAW_MASS and draws _MIN_DRAWS
-        # points; its Monte Carlo value restores its mass, so the top-up pass
-        # re-runs it at mc_draws from the same stream and cached mode.
+        # Order 4 of replicate 0, the lowest Monte Carlo order, carries
+        # posterior 0.002.  Lowered 12 nats in Laplace, it is visited below
+        # _FULL_DRAW_MASS and draws _MIN_DRAWS points; its Monte Carlo value
+        # restores its mass, so the top-up pass re-runs it at mc_draws from
+        # the same stream and cached mode.
         x, y = criterion_8_sample(0)
         laplace, sample = binary_module._laplace_log_num, binary_module._mc_log_num
         calls = []
 
         def lowered(mode, n):
-            return laplace(mode, n) - (12.0 if mode.theta.size == 2 else 0.0)
+            return laplace(mode, n) - (12.0 if mode.theta.size == 5 else 0.0)
 
         def recorded(a_n, mode, n_draws, seed):
             calls.append((mode.theta.size - 1, n_draws))
@@ -843,13 +904,14 @@ class TestLaplaceScreening:
         monkeypatch.setattr(binary_module, "_mc_log_num", recorded)
         result = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
         diag = result.diagnostics
-        assert [c for c in calls if c[0] == 1] == [(1, _MIN_DRAWS), (1, 4000)]
-        assert diag["mc_n_draws"][1] == 4000 and result.posterior[1] > 0.5
-        est = binary_log_bf(y, build_design(x, UNIT, result.max_order, "legendre"), 1, seed=0)
-        assert diag["log_bf"][1] == est.log_bf
-        assert diag["mc_std_error"][1] == est.mc_std_error
+        assert [c for c in calls if c[0] == 4] == [(4, _MIN_DRAWS), (4, 4000)]
+        assert min(c[0] for c in calls) == _GRID_DIM
+        assert diag["mc_n_draws"][4] == 4000 and result.posterior[4] >= _FULL_DRAW_MASS
+        est = binary_log_bf(y, build_design(x, UNIT, result.max_order, "legendre"), 4, seed=0)
+        assert diag["log_bf"][4] == est.log_bf
+        assert diag["mc_std_error"][4] == est.mc_std_error
         heavy = result.posterior >= _FULL_DRAW_MASS
-        assert np.all(np.array(diag["mc_n_draws"])[1:][heavy[1:]] == 4000)
+        assert np.all(np.array(diag["mc_n_draws"])[heavy & monte_carlo_orders(diag)] == 4000)
         assert diag["screened_bound"] <= _SCREEN_TOL
 
     def test_inclusion_se_is_the_delta_method(self, screened_fits):
@@ -884,9 +946,9 @@ class TestLaplaceScreening:
     def test_mc_ess_only_for_monte_carlo_orders(self, screened_fits):
         for _, result, _, _ in screened_fits:
             diag = result.diagnostics
-            ess, screened = diag["mc_ess"], np.array(diag["screened"])
-            assert ess[0] == 0.0 and np.all(ess[screened] == 0.0)
-            for k in np.flatnonzero(~screened)[1:]:
+            ess, monte_carlo = diag["mc_ess"], monte_carlo_orders(diag)
+            assert np.all(ess[~monte_carlo] == 0.0)
+            for k in np.flatnonzero(monte_carlo):
                 assert 1.0 < ess[k] <= diag["mc_n_draws"][k]
 
     def test_screened_mask_invariant_to_label_flip(self, screened_fits):

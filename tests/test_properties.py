@@ -86,6 +86,18 @@ def test_probit_selection_invariant_under_label_flip(seed):
     assert np.max(np.abs(flipped.diagnostics["log_bf"] - result.diagnostics["log_bf"])) <= 1e-9
 
 
+@PROPERTY
+@given(perm=st.permutations(range(60)))
+def test_probit_fit_invariant_under_row_permutation(perm):
+    # Canonical QR signs keep every Monte Carlo draw on the same theta, so a
+    # permutation moves only the rounding of sums over the rows.
+    x, y = probit_sample()
+    result = fit_binary(x[perm], y[perm], BinaryFitConfig(mc_draws=1000, seed=0))
+    reference = probit_fit()
+    assert_same_selection(result, reference)
+    assert np.max(np.abs(result.diagnostics["log_bf"] - reference.diagnostics["log_bf"])) <= 1e-10
+
+
 FITS = {"identity": lambda: base_fit("mpm"), "probit": probit_fit}
 
 

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="predictor interval (default: data range)")
     p_fit.add_argument("--binary", action="store_true", help="treat the response as binary probit")
     p_fit.add_argument("--mc-draws", type=_positive_int, default=4000,
-                       help="Monte Carlo draws of an order k >= 4 with posterior >= 1e-3; "
+                       help="Monte Carlo draws of an order k >= 7 with posterior >= 1e-3; "
                             "others draw 1000; >= 1000 (binary only)")
     p_fit.add_argument("--seed", type=int, default=0)
 

@@ -1,6 +1,7 @@
 """Probit latent-variable path: orthant estimator, binary BFs, fit_binary."""
 
 import importlib.util
+import itertools
 import json
 import sys
 import threading
@@ -24,16 +25,20 @@ from smoothsel.binary import (
     _MIN_DRAWS,
     _SCREEN_TOL,
     _SEPARATION_LIMIT,
+    _SPARSE_DIM,
     BinaryFitConfig,
     OrthantSpec,
     _g_prior,
     _grid_log_num,
+    _grid_rule,
     _level_start,
     _importance_sample,
     _log_orthant_mass,
     _laplace_log_num,
+    _mc_log_num,
     _newton_mode,
     _order_modes,
+    _rule,
     _signed_design,
     binary_log_bf,
     fit_binary,
@@ -47,6 +52,7 @@ from smoothsel.transform import build_transform
 
 UNIT = PredictorScale(0.0, 1.0)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PWLINEAR_DOMAIN = (-3.0, 3.0)
 
 
 def legendre_design(n, order, seed=0):
@@ -361,19 +367,21 @@ class TestBinaryLogBf:
     def test_two_seeds_agree_within_combined_error(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, 20)
-        design = build_design(x, UNIT, 4, "legendre")
+        design = build_design(x, UNIT, 7, "legendre")
         y = (rng.uniform(size=20) < 0.5).astype(int)
-        a = binary_log_bf(y, design, 4, n_draws=4000, seed=1)
-        b = binary_log_bf(y, design, 4, n_draws=4000, seed=2)
+        a = binary_log_bf(y, design, 7, n_draws=4000, seed=1)
+        b = binary_log_bf(y, design, 7, n_draws=4000, seed=2)
+        assert a.n_draws > 0 and a.log_bf != b.log_bf
         combined = float(np.hypot(a.mc_std_error, b.mc_std_error))
         assert abs(a.log_bf - b.log_bf) <= 4.0 * combined
 
     def test_deterministic_given_seed(self):
-        # Order 4, the lowest order above the product rule, draws from its stream.
-        design = legendre_design(15, 4, seed=4)
-        y = (np.arange(15) % 3 == 0).astype(int)
-        a = binary_log_bf(y, design, 4, n_draws=1200, seed=9)
-        b = binary_log_bf(y, design, 4, n_draws=1200, seed=9)
+        # Order 7, the lowest order above the deterministic rules, draws
+        # from its stream.
+        design = legendre_design(20, 7, seed=4)
+        y = (np.arange(20) % 3 == 0).astype(int)
+        a = binary_log_bf(y, design, 7, n_draws=1200, seed=9)
+        b = binary_log_bf(y, design, 7, n_draws=1200, seed=9)
         assert (a.log_bf, a.mc_std_error) == (b.log_bf, b.mc_std_error)
         # The budget is a floor: draws round up to whole antithetic blocks.
         assert a.n_draws >= 1200 and a.n_draws == b.n_draws
@@ -386,10 +394,10 @@ class TestBinaryLogBf:
         for trial in range(20):
             rng = np.random.default_rng([77, trial])
             x = rng.uniform(0, 1, 30)
-            design = build_design(x, UNIT, 4, "legendre")
+            design = build_design(x, UNIT, 7, "legendre")
             y = (rng.uniform(size=30) < 0.4).astype(int)
-            small = binary_log_bf(y, design, 4, n_draws=2000, seed=trial)
-            large = binary_log_bf(y, design, 4, n_draws=4000, seed=trial)
+            small = binary_log_bf(y, design, 7, n_draws=2000, seed=trial)
+            large = binary_log_bf(y, design, 7, n_draws=4000, seed=trial)
             ratios.append(large.mc_std_error / small.mc_std_error)
         assert 0.6 <= float(np.mean(ratios)) <= 0.85
         assert 0.6 <= float(np.median(ratios)) <= 0.85
@@ -461,7 +469,7 @@ class TestFitBinary:
         assert np.all((probs >= 0.0) & (probs <= 1.0))
         for key in ("log_bf", "mc_std_error", "inclusion", "mc_draws", "seed",
                     "laplace_log_bf", "screened", "screened_mass", "screened_bound",
-                    "mc_ess", "mc_n_draws", "inclusion_se", "stages"):
+                    "mc_ess", "mc_n_draws", "inclusion_se", "mpm_margin_flag", "stages"):
             assert key in result.diagnostics, key
         diag = result.diagnostics
         assert len(diag["newton_iterations"]) == result.max_order + 1
@@ -557,6 +565,23 @@ class TestFitBinary:
         assert not all(result.diagnostics["screened"][1:])
         assert result.diagnostics["refit_newton_converged"] is True
         assert calls == {"qr": 1, "newton": result.max_order + 2}
+
+    def test_mpm_margin_flag(self, monkeypatch):
+        # Replicate 0's inclusion probabilities lie far from 0.5 for their
+        # standard errors; errors of 5 nats on the gridded orders bring one
+        # within two of them.
+        x, y = criterion_8_sample(0)
+        cfg = BinaryFitConfig(seed=0, scale=UNIT)
+        assert fit_binary(x, y, cfg).diagnostics["mpm_margin_flag"] is False
+        grid = binary_module._grid_log_num
+        monkeypatch.setattr(
+            binary_module, "_grid_log_num", lambda a_n, mode: (grid(a_n, mode)[0], 5.0)
+        )
+        result = fit_binary(x, y, cfg)
+        diag = result.diagnostics
+        assert np.any(np.abs(diag["inclusion"] - 0.5) <= 2.0 * diag["inclusion_se"])
+        assert diag["mpm_margin_flag"] is True
+        assert result.to_dict()["diagnostics"]["mpm_margin_flag"] is True
 
     def test_constant_response_rejected(self):
         x = np.linspace(0, 1, 30)
@@ -676,12 +701,14 @@ def criterion_8_sample(rep, flip=False):
 
 
 def test_criterion_8_fit_values_unchanged():
-    # Replicate 0 takes the product rule at orders 1-3 and Monte Carlo at
-    # orders 4-10.  Order 1 is the rule's value; the mean of 1.2M importance
-    # draws (six streams of 200000) lies 1.5e-4 nats above it, 0.65 of that
-    # mean's standard error.  Orders 5-10 carry posterior below
-    # _FULL_DRAW_MASS, so they draw _MIN_DRAWS points: orders 5 and 10 are
-    # pinned to binary_log_bf(..., n_draws=1000) on the design with
+    # Replicate 0 takes the product rule at orders 1-3, the sparse grid at
+    # orders 4-6 and Monte Carlo at orders 7-10.  Order 1 is the rule's
+    # value; the mean of 1.2M importance draws (six streams of 200000) lies
+    # 1.5e-4 nats above it, 0.65 of that mean's standard error.  Order 5 is
+    # the level-4 grid's value, 0.0066 nats above its old 4000-draw Monte
+    # Carlo value (0.40 of that value's standard error).  Orders 7-10 carry
+    # posterior below _FULL_DRAW_MASS, so they draw _MIN_DRAWS points: order
+    # 10 is pinned to binary_log_bf(..., n_draws=1000) on the design with
     # canonical QR signs.  The Laplace values were recorded with each
     # order's own factor loadings sqrt(g_k) Q_k and a standard normal prior
     # on their coordinates; the g-prior on a prefix of one signed design
@@ -690,16 +717,16 @@ def test_criterion_8_fit_values_unchanged():
     x, y = criterion_8_sample(0)
     diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
     assert diag["screened"] == [False] * 11 + [True] * 34
-    assert diag["grid_nodes"] == [0, 25, 125, 625] + [0] * 41
-    assert diag["mc_n_draws"] == [0] * 4 + [4000] + [1000] * 6 + [0] * 34
+    assert diag["grid_nodes"] == [0, 33, 151, 705, 341, 533, 785] + [0] * 38
+    assert diag["mc_n_draws"] == [0] * 7 + [1000] * 4 + [0] * 34
     pinned = {
-        "log_bf": {1: 27.368341995781435, 5: 21.840450256574172, 10: 17.094335485931424},
+        "log_bf": {1: 27.368341995781435, 5: 21.847076428480108, 10: 17.094335485931424},
         "laplace_log_bf": {
             1: 27.367134586001782, 5: 21.8279676472541, 10: 16.99562930455292,
             20: 6.708424639847834, 44: 5.525447015910487,
         },
         "mc_std_error": {
-            1: 0.00017437505582051926, 5: 0.016710770462619987, 10: 0.03195149683339966,
+            1: 0.00017437505582051926, 5: 0.00768821877005621, 10: 0.03195149683339966,
         },
     }
     for key, values in pinned.items():
@@ -746,6 +773,91 @@ class TestProductRule:
         assert sum(m.iterations for m in warm) < sum(m.iterations for m in cold)
 
 
+def gaussian_moment(powers):
+    """E prod u_i^p_i for u ~ N(0, I): prod (p_i - 1)!!, or 0 if some p_i is odd."""
+    if any(p % 2 for p in powers):
+        return 0.0
+    return float(np.prod([np.prod(np.arange(p - 1, 0, -2)) for p in powers]))
+
+
+class TestSparseGrid:
+    """Orders 4-6 take the level-4 Smolyak grid around their modes."""
+
+    @pytest.mark.parametrize("dim", [5, 6, 7])
+    def test_exact_for_gaussian_moments(self, dim):
+        # Level L integrates every monomial of total degree 2L - 1 exactly,
+        # for example E u1^6 = 15, E u1^4 u2^2 = 3 and E u1^2 u2^2 u3^2 = 1
+        # at level 4.
+        for level in (4, 3):
+            nodes, weights = _rule(dim, level, True)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+            for degree in range(1, 2 * level):
+                for coords in itertools.combinations_with_replacement(range(dim), degree):
+                    powers = np.bincount(coords, minlength=dim)
+                    got = weights @ np.prod(nodes**powers, axis=1)
+                    assert got == pytest.approx(gaussian_moment(powers), abs=1e-11), powers
+
+    @pytest.mark.parametrize("dim", [5, 6, 7])
+    def test_level_three_nodes_lie_among_level_four(self, dim):
+        fine, fine_w = _rule(dim, 4, True)
+        coarse, coarse_w = _rule(dim, 3, True)
+        nodes, weights = _grid_rule(dim)
+        assert len(nodes) == len(fine) == {5: 341, 6: 533, 7: 785}[dim]
+        index = {tuple(node): i for i, node in enumerate(nodes)}
+        assert {tuple(node) for node in fine} == set(index)
+        np.testing.assert_array_equal(weights[0, [index[tuple(u)] for u in fine]], fine_w)
+        at = [index[tuple(u)] for u in coarse]
+        np.testing.assert_array_equal(weights[1, at], coarse_w)
+        assert np.count_nonzero(weights[1]) == len(coarse)
+
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_level_five_agrees_with_level_four(self, monkeypatch, rep):
+        # Over replicates 0-2 |L5 - L4| was at most 2.8e-4 nats, against
+        # reported |L4 - L3| of 3.7e-3 to 1.4e-2.
+        _, a_n, modes = criterion_8_modes(rep, _SPARSE_DIM - 1)
+        for mode in modes[_GRID_DIM:]:
+            four, error = _grid_log_num(a_n, mode)
+            monkeypatch.setattr(binary_module, "_SPARSE_LEVEL", 5)
+            five, _ = _grid_log_num(a_n, mode)
+            monkeypatch.setattr(binary_module, "_SPARSE_LEVEL", 4)
+            assert abs(five - four) <= min(1e-3, error)
+
+    def test_long_importance_sample_agrees(self):
+        # 16 streams of 16000 draws each at orders 4-6 of replicate 0: the
+        # mean lay 1.2, 2.2 and 1.3 of its standard errors (at most 0.0023
+        # nats) from the rule.
+        _, a_n, modes = criterion_8_modes(0, _SPARSE_DIM - 1)
+        for mode in modes[_GRID_DIM:]:
+            rule, _ = _grid_log_num(a_n, mode)
+            runs = np.array([_mc_log_num(a_n, mode, 16000, seed)[:2] for seed in range(16)])
+            shift = runs[:, 0].max()
+            w = np.exp(runs[:, 0] - shift)
+            mean = np.log(w.mean()) + shift
+            se = np.sqrt(np.sum((w * runs[:, 1]) ** 2)) / w.sum()
+            assert abs(mean - rule) <= 3.0 * se
+
+    def test_non_positive_rule_falls_back_to_monte_carlo(self, monkeypatch):
+        # A negative coarse sum at dimension 5 makes order 4 an ordinary
+        # Monte Carlo order, in the fit and in binary_log_bf alike.
+        rule = binary_module._grid_rule
+
+        def broken(dim):
+            nodes, weights = rule(dim)
+            return nodes, weights * ([[1.0], [-1.0]] if dim == 5 else 1.0)
+
+        monkeypatch.setattr(binary_module, "_grid_rule", broken)
+        x, y = criterion_8_sample(0)
+        _, a_n, modes = criterion_8_modes(0, 4)
+        assert _grid_log_num(a_n, modes[4]) is None
+        diag = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT)).diagnostics
+        assert diag["grid_nodes"][3:6] == [705, 0, 533]
+        draws = diag["mc_n_draws"][4]
+        assert not diag["screened"][4] and draws >= _MIN_DRAWS and diag["mc_ess"][4] > 0
+        est = binary_log_bf(y, build_design(x, UNIT, 44, "legendre"), 4, n_draws=draws, seed=0)
+        assert (est.log_bf, est.mc_std_error, est.n_draws) == (
+            diag["log_bf"][4], diag["mc_std_error"][4], draws)
+
+
 def fit_with_full_monte_carlo(x, y, scale, seed):
     """``fit_binary`` and every order's ``binary_log_bf`` on the same data."""
     result = fit_binary(x, y, BinaryFitConfig(seed=seed, scale=scale))
@@ -754,11 +866,16 @@ def fit_with_full_monte_carlo(x, y, scale, seed):
     return result, full
 
 
-def signal_probit_fit(mean_fn, domain, n, rep):
-    """A fit of y ~ Bernoulli(Phi(mu(x))), x uniform on the signal's domain."""
+def signal_probit_sample(mean_fn, domain, n, rep):
+    """y ~ Bernoulli(Phi(mu(x))), x uniform on the signal's domain."""
     rng = np.random.default_rng([n, rep])
     x = rng.uniform(*domain, n)
-    y = (rng.uniform(size=n) < ndtr(mean_fn(x))).astype(float)
+    return x, (rng.uniform(size=n) < ndtr(mean_fn(x))).astype(float)
+
+
+def signal_probit_fit(mean_fn, domain, n, rep):
+    """A fit of :func:`signal_probit_sample` and every order's ``binary_log_bf``."""
+    x, y = signal_probit_sample(mean_fn, domain, n, rep)
     return fit_with_full_monte_carlo(x, y, PredictorScale(*domain), rep)
 
 
@@ -793,6 +910,13 @@ def screened_fits():
         result, full = fit_with_full_monte_carlo(x, y, UNIT, rep)
         fits.append((rep, result, full, at_own_draws(x, y, result, full)))
     return fits
+
+
+@pytest.fixture(scope="module")
+def pwlinear_fit():
+    """A pwlinear probit fit at n = 300 whose lowest Monte Carlo order, 7,
+    carries posterior 0.002, with every order's estimate at ``mc_draws``."""
+    return signal_probit_fit(mean_pwlinear, PWLINEAR_DOMAIN, 300, 2)
 
 
 def assert_laplace_error_within_slack(result, full):
@@ -865,36 +989,36 @@ class TestLaplaceScreening:
             assert np.max(np.abs(result.posterior - oracle)) <= bound + 1e-12
             assert result.selected_order == _mpm_order(inclusion)
 
-    def test_full_draws_wherever_the_posterior_has_mass(self, screened_fits):
+    def test_full_draws_wherever_the_posterior_has_mass(self, pwlinear_fit):
         # Monte Carlo orders below _FULL_DRAW_MASS draw _MIN_DRAWS points; the
-        # inclusion curve moved from the all-mc_draws oracle by 3.3e-6
-        # (replicate 0) and 9.5e-7 (replicate 1).
-        levels = set()
-        for _, result, full, _ in screened_fits:
-            diag = result.diagnostics
-            draws = np.array(diag["mc_n_draws"])
-            monte_carlo = monte_carlo_orders(diag)
-            assert np.all(draws[~monte_carlo] == 0)
-            levels |= set(draws[monte_carlo])
-            heavy = result.posterior >= _FULL_DRAW_MASS
-            assert np.all(draws[heavy & monte_carlo] == diag["mc_draws"])
-            log_post = np.array([est.log_bf for est in full])
-            _, inclusion = _normalized_posterior(log_post + model_prior(result.max_order).log_probs)
-            assert np.max(np.abs(diag["inclusion"] - inclusion)) <= 1e-3
-        assert levels == {_MIN_DRAWS, 4000}
+        # inclusion curve moved from the all-mc_draws oracle by 5.9e-5.
+        # On criterion-8 data no order above the sparse grid reaches 1e-3.
+        result, full = pwlinear_fit
+        diag = result.diagnostics
+        draws = np.array(diag["mc_n_draws"])
+        monte_carlo = monte_carlo_orders(diag)
+        assert np.all(draws[~monte_carlo] == 0)
+        assert set(draws[monte_carlo]) == {_MIN_DRAWS, 4000}
+        heavy = result.posterior >= _FULL_DRAW_MASS
+        assert (heavy & monte_carlo).any()
+        assert np.all(draws[heavy & monte_carlo] == diag["mc_draws"])
+        log_post = np.array([est.log_bf for est in full])
+        _, inclusion = _normalized_posterior(log_post + model_prior(result.max_order).log_probs)
+        assert np.max(np.abs(diag["inclusion"] - inclusion)) <= 1e-3
 
     def test_top_up_reruns_an_order_that_gained_mass(self, monkeypatch):
-        # Order 4 of replicate 0, the lowest Monte Carlo order, carries
+        # Order 7 of the pwlinear fit, the lowest Monte Carlo order, carries
         # posterior 0.002.  Lowered 12 nats in Laplace, it is visited below
         # _FULL_DRAW_MASS and draws _MIN_DRAWS points; its Monte Carlo value
         # restores its mass, so the top-up pass re-runs it at mc_draws from
         # the same stream and cached mode.
-        x, y = criterion_8_sample(0)
+        x, y = signal_probit_sample(mean_pwlinear, PWLINEAR_DOMAIN, 300, 2)
+        scale = PredictorScale(*PWLINEAR_DOMAIN)
         laplace, sample = binary_module._laplace_log_num, binary_module._mc_log_num
         calls = []
 
         def lowered(mode, n):
-            return laplace(mode, n) - (12.0 if mode.theta.size == 5 else 0.0)
+            return laplace(mode, n) - (12.0 if mode.theta.size == 8 else 0.0)
 
         def recorded(a_n, mode, n_draws, seed):
             calls.append((mode.theta.size - 1, n_draws))
@@ -902,14 +1026,14 @@ class TestLaplaceScreening:
 
         monkeypatch.setattr(binary_module, "_laplace_log_num", lowered)
         monkeypatch.setattr(binary_module, "_mc_log_num", recorded)
-        result = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
+        result = fit_binary(x, y, BinaryFitConfig(seed=2, scale=scale))
         diag = result.diagnostics
-        assert [c for c in calls if c[0] == 4] == [(4, _MIN_DRAWS), (4, 4000)]
-        assert min(c[0] for c in calls) == _GRID_DIM
-        assert diag["mc_n_draws"][4] == 4000 and result.posterior[4] >= _FULL_DRAW_MASS
-        est = binary_log_bf(y, build_design(x, UNIT, result.max_order, "legendre"), 4, seed=0)
-        assert diag["log_bf"][4] == est.log_bf
-        assert diag["mc_std_error"][4] == est.mc_std_error
+        assert [c for c in calls if c[0] == 7] == [(7, _MIN_DRAWS), (7, 4000)]
+        assert min(c[0] for c in calls) == _SPARSE_DIM
+        assert diag["mc_n_draws"][7] == 4000 and result.posterior[7] >= _FULL_DRAW_MASS
+        est = binary_log_bf(y, build_design(x, scale, result.max_order, "legendre"), 7, seed=2)
+        assert diag["log_bf"][7] == est.log_bf
+        assert diag["mc_std_error"][7] == est.mc_std_error
         heavy = result.posterior >= _FULL_DRAW_MASS
         assert np.all(np.array(diag["mc_n_draws"])[heavy & monte_carlo_orders(diag)] == 4000)
         assert diag["screened_bound"] <= _SCREEN_TOL

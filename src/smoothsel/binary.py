@@ -111,10 +111,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import block_diag
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale
-from .gprior import _check_rank, _normalized_posterior, _sinh_rule
+from .gprior import _check_rank, _logsumexp, _normalized_posterior, _sinh_rule
 from .selector import (
     FitResult,
     _available_cores,
@@ -510,7 +510,7 @@ def _log_base_integral(spec: OrthantSpec, base: _NewtonMode) -> float:
     """
     nodes, log_weights = _sinh_rule(base.theta, 1.0 / np.sqrt(base.curvature[0]))
     vals = log_ndtr(spec.signs * nodes).sum(axis=1)
-    return float(logsumexp(vals + log_weights[:, 0]))
+    return _logsumexp(vals + log_weights[:, 0])
 
 
 def _laplace_log_num(mode: _NewtonMode, n: int) -> float:
@@ -782,10 +782,10 @@ def fit_binary(
     while True:
         log_bound = -np.inf
         if screened.any():
-            log_bound = _LAPLACE_SLACK + logsumexp(log_post[screened]) - logsumexp(
+            log_bound = _LAPLACE_SLACK + _logsumexp(log_post[screened]) - _logsumexp(
                 log_post[~screened]
             )
-        full = np.exp(log_post - logsumexp(log_post)) >= _FULL_DRAW_MASS
+        full = np.exp(log_post - _logsumexp(log_post)) >= _FULL_DRAW_MASS
         if log_bound > np.log(_SCREEN_TOL):
             pick = screened
         else:

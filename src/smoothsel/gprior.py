@@ -9,7 +9,9 @@ as a last column, gives the r2 of every nested order, and log(1 - r2) from
 its residual sums of squares without cancellation.  Above ``_CHUNK`` rows
 the QR runs over cache-sized blocks of rows, and the blocks' triangular
 factors are stacked and reduced to one (a tall-skinny QR); up to
-``_CHUNK`` rows it is a single plain QR.  Each Bayes factor
+``_CHUNK`` rows it is a single plain QR.  Every block is one in-place
+LAPACK dgeqrt call, a Householder QR by compact-WY panels of ``_PANEL``
+columns, whose R was bit-identical at 1 and 2 BLAS threads.  Each Bayes factor
 against the intercept-only base model is a one-dimensional integral over
 v = log omega (logit omega for the arcsine law), where every integrand is
 smooth with exponential tails.  One fixed rule per order evaluates it in
@@ -27,9 +29,9 @@ from math import lgamma
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.linalg import lapack_lite
 from scipy.linalg import solve_triangular
-from scipy.special import expit, logsumexp
+from scipy.linalg.lapack import dgeqrt
+from scipy.special import expit
 
 from .basis import LEGENDRE, DesignMatrix, _check_finite
 from .model_space import ModelPrior
@@ -263,34 +265,46 @@ class _Factorization(NamedTuple):
 
 
 # Rows per block of the tall-skinny QR.  A 2048 x 63 block is about 1 MB and
-# stays in a core's 2 MB L2 cache while dgeqrf's column-by-column panel
-# steps sweep it; a 20000-row design (10 MB) does not.  On a 2-core Xeon VM
-# with BLAS at one thread, blocks of 1024 to 4096 rows factorize n = 20000
-# about equally fast; 8192 rows or one block take 10-35% longer.
+# stays in a core's 2 MB L2 cache while the panel steps of _householder_r
+# sweep it; a 20000-row design (10 MB) does not.  On a 2-core Xeon VM with
+# BLAS at one thread (medians of 75 interleaved calls, two runs), blocks of
+# 1024, 2048 and 4096 rows factorize n = 20000 in 11.0-13.0, 10.6-11.7 and
+# 12.2-13.1 ms; 8192 rows take 13.2-14.4 ms and one block 15.0-15.4 ms.
 _CHUNK = 2048
+
+# Columns per compact-WY panel of _householder_r.  On OpenBLAS 0.3.30,
+# 8-column panels gave bit-identical R at 1 and 2 BLAS threads at every
+# block height tried (n = 300 to 20000); 16- and 64-column panels did not
+# (n = 1500, 2047, 3001, 5000 and 12345).  4-column panels, bit-identical
+# too, ran no faster.
+_PANEL = 8
 
 
 def _householder_r(buf: np.ndarray) -> np.ndarray:
     """R of the QR of ``buf.T``, with Householder vectors left in ``buf``.
 
-    Calls numpy's own LAPACK dgeqrf, in place, on one block of rows (see
-    :func:`_blocked_r`).  ``scipy.linalg.qr`` runs on scipy's separate
-    OpenBLAS, whose worker threads then compete for the cores with numpy's,
-    still spinning after the caller's last numpy BLAS call: with two threads
-    per pool on two cores a 3 ms fit at n = 500 took up to 110 ms after a
-    least-squares solve.  ``np.linalg.qr`` shares numpy's pool but copies
-    the buffer twice.  ``buf.T`` has at least as many rows as columns.
+    One LAPACK dgeqrt call, in place, on one block of rows (see
+    :func:`_blocked_r`): ``buf.T`` is Fortran-ordered, so no copy is made.
+    dgeqrt factorizes panels of ``_PANEL`` columns by recursive compact-WY
+    steps (Elmroth & Gustavson 2000, IBM J. Res. Dev. 44:605) and applies
+    each panel to the columns right of it as one block reflector (Schreiber
+    & Van Loan 1989, SIAM J. Sci. Stat. Comput. 10:53); dgeqrf, below its
+    128-column crossover, applies one reflector at a time.  On a 2-core VM
+    (medians of 60 calls) this took the factorization of n = 20000 from 21.0
+    to 8.4 ms at one BLAS thread and from 52.9 to 9.6 ms at OpenBLAS's
+    default two.  The call runs on scipy's OpenBLAS beside numpy's, and the
+    two pools did not stall each other: at default threads, with a
+    least-squares solve and a 400 x 400 product on numpy's pool before each
+    fit, the slowest of 30 fits took 3.9 ms at n = 500 and 23 ms at
+    n = 20000 (two runs).
+    ``buf.T`` has at least as many rows as columns.
     """
-    n_cols, n = buf.shape
-    tau = np.empty(n_cols)
-    work = np.empty(1)
-    lapack_lite.dgeqrf(n, n_cols, buf, n, tau, work, -1, 0)
-    work = np.empty(int(work[0]))
-    info = lapack_lite.dgeqrf(n, n_cols, buf, n, tau, work, work.size, 0)["info"]
+    n_cols = buf.shape[0]
+    a, _, info = dgeqrt(min(_PANEL, n_cols), buf.T, overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
     # Only the leading block is triangularized, not the whole n-row buffer.
-    return np.triu(buf.T[:n_cols])
+    return np.triu(a[:n_cols])
 
 
 def _blocked_r(
@@ -311,7 +325,7 @@ def _blocked_r(
     """
     n_blocks = -(-n_rows // max(_CHUNK, 4 * width))
     if n_blocks == 1:
-        # Fortran layout for dgeqrf: row j of ``buf`` is column j.
+        # Fortran layout for dgeqrt: row j of ``buf`` is column j.
         buf = np.empty((width, n_rows))
         fill(slice(0, n_rows), buf.T)
         return _householder_r(buf)
@@ -658,13 +672,30 @@ def model_posterior(
     return _posterior_from_r2(n, factor.r2(), factor.log1m_r2(), prior, omega_prior)
 
 
+def _logsumexp(v: np.ndarray) -> float:
+    """log(sum(exp(v))) of a non-empty vector, shifted by its largest entry.
+
+    The largest term is left out of the sum and added back by log1p, as
+    ``scipy.special.logsumexp`` does, so a unique maximum gives its value
+    bit for bit at a tenth of its call overhead.  An all -inf vector gives
+    -inf.
+    """
+    top_at = np.argmax(v)
+    top = v[top_at]
+    if not np.isfinite(top):
+        return float(top)
+    terms = np.exp(v - top)
+    terms[top_at] = 0.0
+    return float(top + np.log1p(terms.sum()))
+
+
 def _normalized_posterior(log_post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior over orders 0..N from unnormalized log masses, and inclusion.
 
     inclusion[j - 1] is the posterior probability that degree j is in the
     model.
     """
-    posterior = np.exp(log_post - logsumexp(log_post))
+    posterior = np.exp(log_post - _logsumexp(log_post))
     posterior /= posterior.sum()
     # Degree j belongs to every model of order >= j: tail sums.
     tail = np.cumsum(posterior[::-1])[::-1]

@@ -27,7 +27,7 @@ def show(result):
     out["diagnostics"].pop("stages")
     print(json.dumps(out, sort_keys=True))
 
-for n in (500, 5000, 20000):
+for n in (500, 3001, 5000, 12345, 20000):
     show(ss.fit(*ss.generate(ss.Scenario("poly5", n, 2.0, 1, n), 0)))
 for rep in range(3):
     rng = np.random.default_rng([500, rep])
@@ -37,7 +37,10 @@ for rep in range(3):
 """
 
 
-CASES = ["fit-n500", "fit-n5000", "fit-n20000", "binary-0", "binary-1", "binary-2"]
+CASES = [
+    "fit-n500", "fit-n3001", "fit-n5000", "fit-n12345", "fit-n20000",
+    "binary-0", "binary-1", "binary-2",
+]
 
 
 def fits_at(threads):

@@ -27,6 +27,7 @@ from smoothsel.gprior import (
     OmegaPrior,
     _factorize,
     _householder_r,
+    _logsumexp,
     fit_stats,
     log_bayes_factor,
     model_posterior,
@@ -316,6 +317,24 @@ class TestBlockedFactorization:
         assert factor.rho2 == float(r[9, 9] ** 2)
         assert factor.ssy == ssy
 
+    @pytest.mark.parametrize("width", [2, 7, 8, 9, 16, 63])
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_householder_r_at_panel_edges(self, width, tall):
+        # Widths below, at and above one panel of _PANEL columns, and a
+        # last panel of one column (9) or of seven (63).
+        n = _CHUNK if tall else 2 * width
+        a = np.random.default_rng([width, n]).standard_normal((n, width))
+        ref = np.linalg.qr(a, mode="r")
+        buf = np.ascontiguousarray(a.T)
+        r = _householder_r(buf)
+        signs = np.sign(np.diag(r))[:, None]
+        np.testing.assert_allclose(
+            r * signs, ref * np.sign(np.diag(ref))[:, None], rtol=0,
+            atol=1e-12 * np.abs(ref).max(),
+        )
+        # In place: R stays in the leading rows of buf.T.
+        np.testing.assert_array_equal(np.triu(buf.T[:width]), r)
+
     def test_collinear_column_rejected_across_blocks(self):
         # Three distinct x values support two centered columns, in every block.
         x = np.tile([0.1, 0.5, 0.9], _CHUNK + 2)
@@ -329,6 +348,23 @@ class TestBlockedFactorization:
         design = build_design(x, result.scale, result.max_order, "legendre")
         assert np.all(np.isfinite(_factorize(y, design.values[:, 1:]).log1m_r2()))
         assert result.selected_order == 5
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 30.0, 1e3])
+    def test_matches_scipy(self, spread):
+        rng = np.random.default_rng(int(spread * 1000))
+        for size in (1, 2, 45, 61):
+            v = rng.normal(rng.normal(0.0, spread), spread, size)
+            assert _logsumexp(v) == pytest.approx(logsumexp(v), rel=1e-15, abs=0)
+
+    def test_minus_infinity_entries(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(0.0, 10.0, 61)
+        v[rng.permutation(61)[:20]] = -np.inf
+        assert _logsumexp(v) == pytest.approx(logsumexp(v), rel=1e-15, abs=0)
+        assert _logsumexp(np.array([-np.inf, 0.0, -np.inf])) == 0.0
+        assert _logsumexp(np.full(4, -np.inf)) == -np.inf
 
 
 class TestLogBayesFactor:

@@ -121,13 +121,21 @@ def _bernstein_rows(u: np.ndarray, order: int) -> np.ndarray:
 def _legendre_rows(u: np.ndarray, order: int) -> np.ndarray:
     # Shifted Legendre three-term recurrence on [0, 1]:
     # (k + 1) psi_{k+1} = (2k + 1)(2u - 1) psi_k - k psi_{k-1}.
+    # Each step is ((2k + 1) t rows[k] - k rows[k - 1]) / (k + 1), in that
+    # order, written in place into rows[k + 1] with one scratch row.
     rows = np.zeros((order + 1, u.shape[0]))
     rows[0] = 1.0
     if order >= 1:
         t = 2.0 * u - 1.0
         rows[1] = t
+        scratch = np.empty_like(t)
         for k in range(1, order):
-            rows[k + 1] = ((2 * k + 1) * t * rows[k] - k * rows[k - 1]) / (k + 1)
+            nxt = rows[k + 1]
+            np.multiply(2 * k + 1, t, out=scratch)
+            np.multiply(scratch, rows[k], out=scratch)
+            np.multiply(k, rows[k - 1], out=nxt)
+            np.subtract(scratch, nxt, out=nxt)
+            np.divide(nxt, k + 1, out=nxt)
     return rows.T
 
 

@@ -37,17 +37,26 @@ needs only for latent values near -4.2 sd throughout or one beyond about
 -37 sd, whatever n is.  Each draw's log mass differs from the
 ``log_ndtr`` row sum by about 2 n eps plus a few ulps of the log mass:
 within 1e-12 at n = 300.  The elementwise
-ufuncs release the GIL, so blocks of draws run on a thread pool sized to
-the cores this process may run on.  The one matrix product that feeds
-them, and with it every BLAS call, stays in the calling thread; each block
-reads its rows of that product, and the fallback depends only on the
-values, so results are identical at any pool size.  Zero rows pad the
-design to whole chunks before the product, so the product's columns fill
-whole tiles of the BLAS kernel and results are identical at any BLAS
-thread count too.
+ufuncs release the GIL, so a kernel call given a thread pool cuts its
+draws into near-equal parts, as many as the cores this process may run
+on but none under ``_MIN_PART_ROWS`` (256) rows: the pool's workers take
+all parts but the first, and the calling thread computes that one.  One pool,
+of one worker per core but one, serves a whole ``fit_binary`` call, and
+``binary_log_bf`` and ``orthant_probability`` open one for their own
+call; on one core there is no pool and no thread is started.  The one
+matrix product that feeds the parts, and with it every BLAS call of the
+kernel, stays in the calling thread; each part reads its rows of that
+product, and the fallback depends only on the values, so results are
+identical at any pool size.  Zero rows pad the design to whole chunks
+before the product, so the product's columns fill whole tiles of the
+BLAS kernel and results are identical at any BLAS thread count too.
 
 ``fit_binary`` finds the modes in one chain over the nested orders, each
-started from the mode of the order below with a zero appended.  Each
+started from the mode of the order below with a zero appended.  Once the
+chain has the modes of orders 0-6, a worker of the fit's pool continues
+it through the top order, with the Laplace numerators of orders 7 and
+above, while the calling thread computes the base integral and the rules
+of orders 1-6, each as one kernel call.  Each
 order's mode and curvature give its Laplace log Bayes factor (Tierney &
 Kadane 1986); orders 1-6 take the deterministic rule, and above them
 Monte Carlo runs only where the posterior has mass, centered on that same mode.
@@ -102,7 +111,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma, pi
@@ -124,8 +134,8 @@ from .selector import (
 )
 from .transform import build_transform
 
-# Draws per block of the orthant-mass kernel; blocks run in parallel.
-_ROW_BLOCK = 512
+# The fewest draws in one part of a split orthant-mass kernel call.
+_MIN_PART_ROWS = 256
 # Latent coordinates per partial product of the orthant-mass kernel.  A
 # product of 64 Phi values falls below the smallest normal float only if
 # their logs average below -11 (latent values near -4.2 sd throughout) or
@@ -344,18 +354,31 @@ def _level_start(spec: OrthantSpec) -> np.ndarray:
     return np.array([ndtri(rate)])
 
 
+def _thread_pool() -> ThreadPoolExecutor | nullcontext:
+    """A context giving a pool of one worker per core but one, or None on one core."""
+    workers = _available_cores() - 1
+    return ThreadPoolExecutor(max_workers=workers) if workers > 0 else nullcontext()
+
+
 def _log_orthant_mass(
-    theta: np.ndarray, a: np.ndarray, offset: np.ndarray | None = None
+    theta: np.ndarray,
+    a: np.ndarray,
+    offset: np.ndarray | None = None,
+    *,
+    pool: Executor | None = None,
 ) -> np.ndarray:
     """sum_i log Phi(c_i + (A theta)_i) for each row theta, as in :func:`_newton_mode`.
 
     The orthant-mass kernel of the module docstring: logs of products of
     ``ndtr`` over ``_MASS_CHUNK`` coordinates, ``log_ndtr`` where one underflows.
+    With a ``pool`` the rows are cut into min(cores, rows // ``_MIN_PART_ROWS``)
+    near-equal parts; the pool takes all but the first, which the calling
+    thread computes.  Without one the call is serial.
     """
     # The one BLAS product runs here, in the calling thread: BLAS threads
-    # beside the workers would oversubscribe the cores, and every block
+    # beside the workers would oversubscribe the cores, and every part
     # reading a row slice of one product keeps the results independent of
-    # the block split.  Zero rows pad A to whole chunks, so the product's
+    # the split.  Zero rows pad A to whole chunks, so the product's
     # columns fill whole tiles of the BLAS kernel: a partial tile's rounding
     # can depend on how many BLAS threads split the draws.
     n = a.shape[0]
@@ -366,20 +389,19 @@ def _log_orthant_mass(
     starts = np.arange(0, n, _MASS_CHUNK)
     mass = np.empty((theta.shape[0], starts.size))
 
-    def block_mass(rows: slice) -> None:
-        # Elementwise ufuncs that release the GIL, in place on the block's rows.
+    def part_mass(rows: slice) -> None:
+        # Elementwise ufuncs that release the GIL, in place on the part's rows.
         t = latent[rows]
         ndtr(t, out=t)
         np.multiply.reduceat(t, starts, axis=1, out=mass[rows])
 
-    blocks = [slice(i, min(i + _ROW_BLOCK, len(mass))) for i in range(0, len(mass), _ROW_BLOCK)]
-    workers = min(_available_cores(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block_mass, blocks))
-    else:
-        for rows in blocks:
-            block_mass(rows)
+    draws = len(mass)
+    parts = 1 if pool is None else max(1, min(_available_cores(), draws // _MIN_PART_ROWS))
+    cuts = [draws * i // parts for i in range(parts + 1)]
+    futures = [pool.submit(part_mass, slice(lo, hi)) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    part_mass(slice(0, cuts[1]))
+    for future in futures:
+        future.result()
     with np.errstate(divide="ignore"):
         log_mass = np.log(mass)
     low_rows, low_chunks = np.nonzero(mass < np.finfo(float).tiny)
@@ -400,6 +422,8 @@ def _importance_sample(
     n_draws: int,
     rng: np.random.Generator,
     offset: np.ndarray | None = None,
+    *,
+    pool: Executor | None = None,
 ) -> tuple[float, float, float, int]:
     """Log integral of exp(objective) over theta, by importance sampling.
 
@@ -410,7 +434,7 @@ def _importance_sample(
     the mode, drawn in antithetic pairs.  Returns the log integral, the
     delta-method standard error of the log, the effective sample size
     (sum w)^2 / sum w^2 of the importance weights w, and the draws spent:
-    whole pairs, at least ``n_draws``.
+    whole pairs, at least ``n_draws``.  ``pool`` splits the kernel call.
     """
     half = max(2, -(-n_draws // 2))
     draws = 2 * half
@@ -421,7 +445,7 @@ def _importance_sample(
     step = (z / np.sqrt(g)[:, None]) @ np.linalg.inv(chol)
     theta = np.concatenate([mode.theta + step, mode.theta - step])
 
-    log_mass = _log_orthant_mass(theta, a, offset)
+    log_mass = _log_orthant_mass(theta, a, offset, pool=pool)
 
     # The t density at each draw; both halves of a pair share it.
     log_q = (
@@ -485,17 +509,25 @@ def orthant_probability(
     # P(v in A) = E_u prod Phi(s (lambda0 + F u)) for u ~ N(0, I_k).
     a = spec.signs[:, None] * loadings
     mode = _newton_mode(a, np.eye(k), np.zeros(k), offset=c)
-    log_int, se_log, _, _ = _importance_sample(
-        a, np.eye(k), mode, n_draws, np.random.default_rng([seed, k]), offset=c
-    )
+    with _thread_pool() as pool:
+        log_int, se_log, _, _ = _importance_sample(
+            a, np.eye(k), mode, n_draws, np.random.default_rng([seed, k]), offset=c, pool=pool
+        )
     return float(log_int - 0.5 * k * np.log(2.0 * pi)), se_log
 
 
-def _order_modes(spec: OrthantSpec, a_n: np.ndarray, k: int) -> list[_NewtonMode]:
+def _order_modes(
+    spec: OrthantSpec, a_n: np.ndarray, k: int, head: list[_NewtonMode] | None = None
+) -> list[_NewtonMode]:
     """The modes of orders 0..k: order 0 starts from the base level, and
-    order j from the mode of order j - 1 with a zero appended."""
-    modes, start = [], _level_start(spec)
-    for j in range(k + 1):
+    order j from the mode of order j - 1 with a zero appended.
+
+    Given ``head``, the modes of orders 0..j - 1, the chain continues from
+    there and returns them followed by the modes of orders j..k.
+    """
+    modes = list(head or [])
+    start = np.append(modes[-1].theta, 0.0) if modes else _level_start(spec)
+    for j in range(len(modes), k + 1):
         penalty = _g_prior(spec.n, j)[0]
         modes.append(_newton_mode(a_n[:, : j + 1], penalty, start, level_box=_LAMBDA_BOX))
         start = np.append(modes[-1].theta, 0.0)
@@ -527,18 +559,19 @@ def _laplace_log_num(mode: _NewtonMode, n: int) -> float:
 
 
 def _mc_log_num(
-    a_n: np.ndarray, mode: _NewtonMode, n_draws: int, seed: int
+    a_n: np.ndarray, mode: _NewtonMode, n_draws: int, seed: int, *, pool: Executor | None = None
 ) -> tuple[float, float, float, int]:
     """Monte Carlo log marginal likelihood of one order, centered on its mode.
 
     The order k is that of ``mode``; its integral of exp(objective) is
     sampled by :func:`_importance_sample` from the stream keyed by (seed, k),
     whose four results it returns with the g-prior's constant added.
+    ``pool`` splits the kernel call.
     """
     k = mode.theta.size - 1
     penalty, log_norm = _g_prior(a_n.shape[0], k)
     log_int, se_log, ess, draws = _importance_sample(
-        a_n[:, : k + 1], penalty, mode, n_draws, np.random.default_rng([seed, k])
+        a_n[:, : k + 1], penalty, mode, n_draws, np.random.default_rng([seed, k]), pool=pool
     )
     return float(log_int + log_norm), se_log, ess, draws
 
@@ -594,21 +627,23 @@ def _grid_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _rule_pair(dim, _SPARSE_LEVEL, True)
 
 
-def _grid_log_num(a_n: np.ndarray, mode: _NewtonMode) -> tuple[float, float] | None:
+def _grid_log_num(
+    a_n: np.ndarray, mode: _NewtonMode, *, pool: Executor | None = None
+) -> tuple[float, float] | None:
     """Log marginal likelihood of ``mode``'s order by an adaptive Gauss-Hermite rule.
 
     The nodes u of the fine rule and its coarse sub-rule sit at theta =
     theta_hat + L^-T u for the mode curvature L L' (Naylor & Smith 1982; Liu
     & Pierce 1994), one kernel call for both.  Returns the fine log integral
     with the g-prior's constant and its error estimate |log fine - log
-    coarse|; None if either sum is not positive.
+    coarse|; None if either sum is not positive.  ``pool`` splits the kernel call.
     """
     dim = mode.theta.size
     penalty, log_norm = _g_prior(a_n.shape[0], dim - 1)
     chol = np.linalg.cholesky(mode.curvature)
     u, weights = _grid_rule(dim)
     theta = mode.theta + u @ np.linalg.inv(chol)
-    log_f = _log_orthant_mass(theta, a_n[:, :dim])
+    log_f = _log_orthant_mass(theta, a_n[:, :dim], pool=pool)
     log_f += 0.5 * (u * u).sum(axis=1) - 0.5 * ((theta @ penalty) * theta).sum(axis=1)
     shift = log_f.max()
     sums = weights @ np.exp(log_f - shift)
@@ -664,11 +699,12 @@ def binary_log_bf(
     a_n = _signed_design(spec, design, k)
     modes = _order_modes(spec, a_n, k)
     mode = modes[k]
-    grid = _grid_log_num(a_n, mode) if k < _SPARSE_DIM else None
-    if grid is None:
-        log_num, se_log, _, draws = _mc_log_num(a_n, mode, n_draws, seed)
-    else:
-        (log_num, se_log), draws = grid, 0
+    with _thread_pool() as pool:
+        grid = _grid_log_num(a_n, mode, pool=pool) if k < _SPARSE_DIM else None
+        if grid is None:
+            log_num, se_log, _, draws = _mc_log_num(a_n, mode, n_draws, seed, pool=pool)
+        else:
+            (log_num, se_log), draws = grid, 0
     log_den = _log_base_integral(spec, modes[0])
     return BinaryBfEstimate(
         log_bf=log_num - log_den, mc_std_error=se_log, n_draws=draws,
@@ -719,9 +755,10 @@ def fit_binary(
         1e-6, 0.0 when none is screened); the Newton count and flag of the
         base level (``base_newton_*``) and of the refit (``refit_newton_*``);
         the Bernstein error bound; and ``stages``, the seconds spent in
-        ``design`` (with the input checks), ``laplace``, ``monte_carlo``
-        (with the deterministic rule and the selection) and ``refit``, which sum
-        to ``timing_seconds``.
+        ``design`` (with the input checks), ``laplace`` (the chain of modes
+        and Laplace values, the base integral and the deterministic rule),
+        ``monte_carlo`` (the screening loop and the selection) and
+        ``refit``, which sum to ``timing_seconds``.
 
     Notes
     -----
@@ -743,10 +780,14 @@ def fit_binary(
     posterior share is at least 1e-3 when visited or at the end, and 1000
     otherwise.  So a kept order's ``log_bf``, ``mc_std_error`` and Newton
     count equal those of ``binary_log_bf`` at its own draw count on the
-    fit's own design, whatever order the orders are visited in.  The
-    results are identical at any thread-pool size and any BLAS thread
-    count; the module docstring describes the sampler's kernel, the
-    measured Laplace shortfalls and the error of the 1000-draw orders.
+    fit's own design, whatever order the orders are visited in.  The fit
+    opens one thread pool, of one worker per core but one (none on one
+    core), and closes it before the refit: a worker continues the chain
+    of modes past order 6 while the calling thread runs the rules, and
+    the Monte Carlo kernel calls split over the pool and the calling
+    thread.  The results are identical at any core count and any BLAS
+    thread count; the module docstring describes the sampler's kernel,
+    the measured Laplace shortfalls and the error of the 1000-draw orders.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -757,47 +798,64 @@ def fit_binary(
     marks.append(time.perf_counter())
 
     a_n = _signed_design(spec, design, n_max)
-    modes = _order_modes(spec, a_n, n_max)
-    log_den = _log_base_integral(spec, modes[0])
-    laplace_log_bf = np.array([0.0] + [_laplace_log_num(m, n) - log_den for m in modes[1:]])
-    marks.append(time.perf_counter())
+    gridded = min(_SPARSE_DIM, n_max + 1)
+    head = _order_modes(spec, a_n, gridded - 1)
 
-    log_bf = laplace_log_bf.copy()
-    mc_se = np.zeros(n_max + 1)
-    mc_ess = np.zeros(n_max + 1)
-    n_draws = np.zeros(n_max + 1, dtype=int)
-    grid_nodes = [0] * (n_max + 1)
-    screened = np.arange(n_max + 1) > 0
-    for k in range(1, min(_SPARSE_DIM, n_max + 1)):
-        grid = _grid_log_num(a_n, modes[k])
-        if grid is not None:
-            log_num, mc_se[k] = grid
-            log_bf[k], grid_nodes[k] = log_num - log_den, len(_grid_rule(k + 1)[0])
-            screened[k] = False
-    log_post = log_bf + prior.log_probs
-    # Monte Carlo for the screened order of highest log posterior until the
-    # screened mass, inflated by the slack, is within the budget; an order
-    # below _FULL_DRAW_MASS draws _MIN_DRAWS.  Then re-run at mc_draws, from
-    # the same stream, each such order whose posterior has since reached it.
-    while True:
-        log_bound = -np.inf
-        if screened.any():
-            log_bound = _LAPLACE_SLACK + _logsumexp(log_post[screened]) - _logsumexp(
-                log_post[~screened]
+    def chain_tail() -> tuple[list[_NewtonMode], list[float]]:
+        # The rest of the chain, from the modes of the gridded orders, with
+        # the Laplace numerators of the orders it adds.
+        modes = _order_modes(spec, a_n, n_max, head)
+        return modes, [_laplace_log_num(m, n) for m in modes[gridded:]]
+
+    with _thread_pool() as pool:
+        # A worker runs the chain beside the base integral and the rules of
+        # orders 1-6, each one unsplit kernel call in this thread.
+        rest = pool.submit(chain_tail) if pool is not None else None
+        log_den = _log_base_integral(spec, head[0])
+        grids = [_grid_log_num(a_n, mode) for mode in head[1:]]
+        laplace_nums = [_laplace_log_num(m, n) for m in head[1:]]
+        modes, tail_nums = chain_tail() if rest is None else rest.result()
+        laplace_log_bf = np.array([0.0] + [num - log_den for num in laplace_nums + tail_nums])
+
+        log_bf = laplace_log_bf.copy()
+        mc_se = np.zeros(n_max + 1)
+        mc_ess = np.zeros(n_max + 1)
+        n_draws = np.zeros(n_max + 1, dtype=int)
+        grid_nodes = [0] * (n_max + 1)
+        screened = np.arange(n_max + 1) > 0
+        for k, grid in enumerate(grids, start=1):
+            if grid is not None:
+                log_num, mc_se[k] = grid
+                log_bf[k], grid_nodes[k] = log_num - log_den, len(_grid_rule(k + 1)[0])
+                screened[k] = False
+        marks.append(time.perf_counter())
+
+        log_post = log_bf + prior.log_probs
+        # Monte Carlo for the screened order of highest log posterior until the
+        # screened mass, inflated by the slack, is within the budget; an order
+        # below _FULL_DRAW_MASS draws _MIN_DRAWS.  Then re-run at mc_draws, from
+        # the same stream, each such order whose posterior has since reached it.
+        while True:
+            log_bound = -np.inf
+            if screened.any():
+                log_bound = _LAPLACE_SLACK + _logsumexp(log_post[screened]) - _logsumexp(
+                    log_post[~screened]
+                )
+            full = np.exp(log_post - _logsumexp(log_post)) >= _FULL_DRAW_MASS
+            if log_bound > np.log(_SCREEN_TOL):
+                pick = screened
+            else:
+                pick = full & (0 < n_draws) & (n_draws < config.mc_draws)
+                if not pick.any():
+                    break
+            k = int(np.argmax(np.where(pick, log_post, -np.inf)))
+            budget = config.mc_draws if full[k] else _MIN_DRAWS
+            log_num, mc_se[k], mc_ess[k], n_draws[k] = _mc_log_num(
+                a_n, modes[k], budget, config.seed, pool=pool
             )
-        full = np.exp(log_post - _logsumexp(log_post)) >= _FULL_DRAW_MASS
-        if log_bound > np.log(_SCREEN_TOL):
-            pick = screened
-        else:
-            pick = full & (0 < n_draws) & (n_draws < config.mc_draws)
-            if not pick.any():
-                break
-        k = int(np.argmax(np.where(pick, log_post, -np.inf)))
-        budget = config.mc_draws if full[k] else _MIN_DRAWS
-        log_num, mc_se[k], mc_ess[k], n_draws[k] = _mc_log_num(a_n, modes[k], budget, config.seed)
-        log_bf[k] = log_num - log_den
-        log_post[k] = log_bf[k] + prior.log_probs[k]
-        screened[k] = False
+            log_bf[k] = log_num - log_den
+            log_post[k] = log_bf[k] + prior.log_probs[k]
+            screened[k] = False
     posterior, inclusion = _normalized_posterior(log_post)
     # Delta method: d inclusion_j / d log_post_k = p_k (1[k >= j] - inclusion_j).
     tail = np.arange(n_max + 1) >= np.arange(1, n_max + 1)[:, None]

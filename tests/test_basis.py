@@ -170,6 +170,27 @@ class TestRecurrencesMatchColumnLoop:
         )
 
 
+def legendre_rows_expression(u, order):
+    """Reference: each row of the recurrence as one expression of whole rows."""
+    rows = np.zeros((order + 1, u.size))
+    rows[0] = 1.0
+    if order >= 1:
+        t = 2.0 * u - 1.0
+        rows[1] = t
+        for k in range(1, order):
+            rows[k + 1] = ((2 * k + 1) * t * rows[k] - k * rows[k - 1]) / (k + 1)
+    return rows.T
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 60])
+def test_in_place_legendre_rows_match_the_expression(order):
+    # At the size of a large fit, where the ufuncs run long vector loops.
+    u = np.random.default_rng(60 + order).uniform(0.0, 1.0, 20000)
+    np.testing.assert_array_equal(
+        build_design(u, UNIT, order, LEGENDRE).values, legendre_rows_expression(u, order)
+    )
+
+
 class TestDesignMatrixType:
     def test_field_validation(self):
         with pytest.raises(ValueError):

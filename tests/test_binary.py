@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -215,8 +216,8 @@ class TestOrthantProbability:
             orthant_probability(spec, 0.2, np.array([0.6, -0.3, 0.2]))
 
 
-def log_ndtr_row_sums(theta, a, offset=None):
-    """The reference orthant-mass kernel: log Phi summed over each row."""
+def log_ndtr_row_sums(theta, a, offset=None, *, pool=None):
+    """The reference orthant-mass kernel: log Phi summed over each row, serially."""
     t = theta @ a.T
     return log_ndtr(t if offset is None else offset + t).sum(axis=1)
 
@@ -603,8 +604,21 @@ class TestFitBinary:
             )
 
 
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the parts submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
 class TestParallelSampler:
-    """The orthant-mass kernel runs in blocks of draws on a thread pool."""
+    """One thread pool per fit: the chain of orders 7+ beside the rules of
+    orders 1-6, and each kernel call split into near-equal parts of draws."""
 
     @staticmethod
     def fit_fields(result):
@@ -635,41 +649,52 @@ class TestParallelSampler:
             np.testing.assert_array_equal(got, want)
 
     def test_partial_last_block_matches_one_block(self, monkeypatch):
-        # 1300 draws: two full blocks of 512 rows and a last block of 276,
-        # against the whole latent matrix as one block in the calling thread.
+        # 1300 draws in three parts of 433, 433 and 434 rows, two of them on
+        # an explicit pool of two workers, against one serial call.
         n, k, n_draws = 40, 2, 1300
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
         a_n = _signed_design(spec, legendre_design(n, k, seed=6), k)
         mode = _order_modes(spec, a_n, k)[-1]
 
-        def run():
+        def run(pool=None):
             return _importance_sample(
-                a_n, _g_prior(n, k)[0], mode, n_draws, np.random.default_rng([4, k])
+                a_n, _g_prior(n, k)[0], mode, n_draws, np.random.default_rng([4, k]), pool=pool
             )
 
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
-        assert n_draws % binary_module._ROW_BLOCK != 0
-        blocked = run()
-        monkeypatch.setattr(binary_module, "_ROW_BLOCK", n_draws)
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
-        assert blocked == run()
+        assert n_draws % 3 != 0
+        with CountingPool(max_workers=2) as pool:
+            split = run(pool)
+        assert pool.submitted == 2
+        assert split == run()
 
     def test_underflow_fallback_identical_at_any_core_count(self, monkeypatch):
-        # 1300 rows in three blocks, the underflowing chunks spread over all
-        # three blocks and all three chunks of columns.
+        # 1300 rows in three parts, the underflowing chunks spread over all
+        # three parts and all three chunks of columns; orthant_probability
+        # splits its 2000 draws over the pool it opens for the call.
         theta, a, _ = crafted_latents(n=150, rows=1300, seed=8)
         theta = theta[np.random.default_rng(9).permutation(theta.shape[0])]
         f = np.array([[0.6, 0.1], [-0.3, 0.4], [0.2, -0.5], [0.1, 0.3]])
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
+        pools = []
 
-        def run():
-            return (_log_orthant_mass(theta, a),
+        def counting_pool(**kwargs):
+            pools.append(CountingPool(**kwargs))
+            return pools[-1]
+
+        def run(pool=None):
+            return (_log_orthant_mass(theta, a, pool=pool),
                     orthant_probability(spec, -40.0, f, n_draws=2000, seed=3))
 
+        monkeypatch.setattr(binary_module, "ThreadPoolExecutor", counting_pool)
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
-        pooled = run()
+        with CountingPool(max_workers=2) as pool:
+            pooled = run(pool)
+        assert pool.submitted == 2
+        assert [p.submitted for p in pools] == [2]
         monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
         serial = run()
+        assert len(pools) == 1
         np.testing.assert_array_equal(pooled[0], serial[0])
         assert pooled[1] == serial[1]
 
@@ -690,6 +715,77 @@ class TestParallelSampler:
         before = threading.active_count()
         fit_binary(x, y, BinaryFitConfig(mc_draws=1000, seed=0))
         assert threading.active_count() == before
+
+    @staticmethod
+    def record_threads(monkeypatch):
+        """Record which thread finds each mode, runs each rule and runs each
+        kernel part, and the most threads computing, or alive, at once."""
+        before = threading.active_count()
+        lock = threading.Lock()
+        inside = {}
+        seen = {"modes": {}, "rules": {}, "kernel": set(), "computing": 0, "alive": 0}
+
+        def recorded(name, func, log=None):
+            def wrapper(*args, **kwargs):
+                ident = threading.get_ident()
+                with lock:
+                    inside[ident] = inside.get(ident, 0) + 1
+                    seen["computing"] = max(seen["computing"], len(inside))
+                    seen["alive"] = max(seen["alive"], threading.active_count() - before + 1)
+                try:
+                    if log is not None:
+                        log(ident, *args, **kwargs)
+                    return func(*args, **kwargs)
+                finally:
+                    with lock:
+                        inside[ident] -= 1
+                        if not inside[ident]:
+                            del inside[ident]
+            monkeypatch.setattr(binary_module, name, wrapper)
+
+        def chain_mode(ident, a, *args, **kwargs):
+            if "level_box" in kwargs:  # the chain's modes, not the refit
+                seen["modes"][a.shape[1] - 1] = ident
+
+        def rule(ident, a_n, mode, **kwargs):
+            seen["rules"][mode.theta.size - 1] = ident
+
+        recorded("_newton_mode", _newton_mode, chain_mode)
+        recorded("_grid_log_num", binary_module._grid_log_num, rule)
+        recorded("ndtr", ndtr, lambda ident, *args, **kwargs: seen["kernel"].add(ident))
+        return seen
+
+    def test_chain_runs_beside_the_rules_within_the_cores(self, monkeypatch):
+        # Three cores: a pool of two workers.  One continues the chain from
+        # order 7 while this thread runs the rules of orders 1-6; then the
+        # Monte Carlo kernel calls split over both workers and this thread.
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        seen = self.record_threads(monkeypatch)
+        caller = threading.get_ident()
+        x, y = criterion_8_sample(0)
+        result = fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
+        assert sorted(seen["modes"]) == list(range(result.max_order + 1))
+        assert {seen["modes"][k] for k in range(_SPARSE_DIM)} == {caller}
+        pooled = {seen["modes"][k] for k in range(_SPARSE_DIM, result.max_order + 1)}
+        assert len(pooled) == 1 and caller not in pooled
+        assert seen["rules"] == {k: caller for k in range(1, _SPARSE_DIM)}
+        # An idle worker may take both parts of a call, so 2 or 3 threads.
+        assert caller in seen["kernel"] and len(seen["kernel"]) >= 2
+        assert seen["computing"] <= 3 and seen["alive"] <= 3
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("a thread pool opened on one core")
+
+        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        monkeypatch.setattr(binary_module, "ThreadPoolExecutor", no_pool)
+        seen = self.record_threads(monkeypatch)
+        caller = threading.get_ident()
+        x, y = criterion_8_sample(0)
+        fit_binary(x, y, BinaryFitConfig(seed=0, scale=UNIT))
+        assert set(seen["modes"].values()) == set(seen["rules"].values()) == {caller}
+        assert seen["kernel"] == {caller}
+        assert seen["computing"] == seen["alive"] == 1
 
 
 def criterion_8_sample(rep, flip=False):
@@ -1020,9 +1116,9 @@ class TestLaplaceScreening:
         def lowered(mode, n):
             return laplace(mode, n) - (12.0 if mode.theta.size == 8 else 0.0)
 
-        def recorded(a_n, mode, n_draws, seed):
+        def recorded(a_n, mode, n_draws, seed, *, pool=None):
             calls.append((mode.theta.size - 1, n_draws))
-            return sample(a_n, mode, n_draws, seed)
+            return sample(a_n, mode, n_draws, seed, pool=pool)
 
         monkeypatch.setattr(binary_module, "_laplace_log_num", lowered)
         monkeypatch.setattr(binary_module, "_mc_log_num", recorded)

@@ -20,81 +20,57 @@ a triangular factor of the mode curvature: orders 1-3 the product rule of
 5 nodes a coordinate, orders 4-6 the level-4 Smolyak sparse grid of the
 1-, 3-, 5- and 7-node rules, 341 to 785 nodes.  Its error estimate is the
 change from the 3-node product rule or the level-3 grid, on the same
-nodes.  On criterion-8 data the level-5 grid moved orders 4-6 by at most
-2.8e-4 nats, against estimates of 3.7e-3 to 1.4e-2.  An order whose rule
-sums to a non-positive value is sampled instead.  One
-importance sampler serves every higher order (Geweke 1989): antithetic
-pairs of multivariate t draws, centred and scaled the same way.  Each
-order draws from its own seed stream, keyed by the seed and the order, so
-estimates are identical under any execution order.
+nodes, and exceeded the level-5 grid's change on criterion-8 data
+(``CHANGES.md``).  An order whose rule sums to a non-positive value is
+sampled instead.  One importance sampler serves every higher order
+(Geweke 1989): antithetic pairs of multivariate t draws, centred and
+scaled the same way.  Each order draws from its own seed stream, keyed by
+the seed and the order, so estimates are identical under any execution
+order.
 
 The orthant-mass kernel is nearly all of the work.  Each draw's log mass
 is a sum of logs of partial products of Phi over its latent coordinates,
 64 coordinates to a product: one ``ndtr`` per coordinate and one log per
-64.  A partial product below the smallest normal float takes the sum of
-``log_ndtr`` over its coordinates instead, which a product of 64 factors
-needs only for latent values near -4.2 sd throughout or one beyond about
--37 sd, whatever n is.  Each draw's log mass differs from the
-``log_ndtr`` row sum by about 2 n eps plus a few ulps of the log mass:
-within 1e-12 at n = 300.  The elementwise
-ufuncs release the GIL, so a kernel call given a thread pool cuts its
-draws into near-equal parts, as many as the cores this process may run
-on but none under ``_MIN_PART_ROWS`` (256) rows: the pool's workers take
-all parts but the first, and the calling thread computes that one.  One pool,
-of one worker per core but one, serves a whole ``fit_binary`` call, and
-``binary_log_bf`` and ``orthant_probability`` open one for their own
-call; on one core there is no pool and no thread is started.  The one
-matrix product that feeds the parts, and with it every BLAS call of the
-kernel, stays in the calling thread; each part reads its rows of that
-product, and the fallback depends only on the values, so results are
-identical at any pool size.  Zero rows pad the design to whole chunks
-before the product, so the product's columns fill whole tiles of the
-BLAS kernel and results are identical at any BLAS thread count too.
+64.  A partial product below the smallest normal float, which is rare
+(see ``_MASS_CHUNK``), takes the sum of ``log_ndtr`` over its
+coordinates instead.  Each draw's log mass differs from the ``log_ndtr``
+row sum by about 2 n eps plus a few ulps of the log mass: within 1e-12
+at n = 300.  The elementwise ufuncs release the GIL, so a kernel call
+given a thread pool cuts its draws into near-equal parts, one per core
+but none under ``_MIN_PART_ROWS`` (256) rows, which the calling thread
+and the pool's workers take from one queue.  One pool, of one worker per
+core but one, serves a whole ``fit_binary`` call; ``binary_log_bf`` and
+``orthant_probability`` open one per call, and on one core none.  The
+kernel's BLAS product stays in the calling thread, on a design padded to
+whole chunks, so results are identical at any pool size and any BLAS
+thread count (see :func:`_log_orthant_mass`).
 
 ``fit_binary`` finds the modes in one chain over the nested orders, each
 started from the mode of the order below with a zero appended.  Once the
 chain has the modes of orders 0-6, a worker of the fit's pool continues
 it through the top order, with the Laplace numerators of orders 7 and
 above, while the calling thread computes the base integral and the rules
-of orders 1-6, each as one kernel call.  Each
-order's mode and curvature give its Laplace log Bayes factor (Tierney &
-Kadane 1986); orders 1-6 take the deterministic rule, and above them
-Monte Carlo runs only where the posterior has mass, centered on that same mode.
-The denominator, the base integral over the level alone, uses the fixed
-sinh rule of the Gaussian path around the order-0 mode.  All orders above
-6 start screened; Monte Carlo runs for the screened order of highest log
-posterior until e^c times the
-Laplace posterior mass of the screened orders, over the mass of the rest,
-is at most ``_SCREEN_TOL`` (1e-6).  The slack c = ``_LAPLACE_SLACK`` (4.5
-nats) bounds how far the Laplace value falls short of the Monte Carlo
-one, so the screened orders' true share stays within the budget.  Against
-every order's Monte Carlo value at 4000 draws, the Laplace value was at
-most 0.09 nats above it and fell short by up to 1.03 nats on criterion-8
-data (n = 300, y ~ Bernoulli(Phi(2x - 1)), order 43), 1.53 on
-y ~ Bernoulli(Phi(mu(x))) for the ``pwlinear`` signal mu at n = 300
-(order 44), 1.82 for ``poly5`` at n = 300, and 3.98 (order 54) and
-4.11 (order 37) for ``poly5`` at n = 1000, always at a high order; both
-signals gave at most 2.64 at n = 2000.  The 4.11 rests on one heavy
-importance weight (standard error 0.95 nats; 40000 draws put that
-shortfall near 1.0), but it is a value a fit's own Monte Carlo can
-return, so the slack covers it.  ``tests/test_binary.py`` pins the
-criterion-8, ``pwlinear`` and n = 1000 cases.
-The screened orders keep their Laplace value and are marked ``screened``;
-the fit reports their posterior mass as ``screened_mass`` and the budget
-it reached as ``screened_bound``.
+of orders 1-6, each as one kernel call.  Each order's mode and curvature
+give its Laplace log Bayes factor (Tierney & Kadane 1986).  The
+denominator, the base integral over the level alone, uses the fixed sinh
+rule of the Gaussian path around the order-0 mode.  Orders above 6 start
+screened, and Monte Carlo runs, centred on the same modes, until e^c
+times the Laplace posterior mass of the screened orders, over the mass of
+the rest, is at most ``_SCREEN_TOL`` (1e-6); the screened orders keep
+their Laplace value.  The slack c = ``_LAPLACE_SLACK`` (4.5 nats) bounds
+how far the Laplace value falls short of the Monte Carlo one.  It covers
+the largest shortfall measured, 4.11 nats at a high order of a ``poly5``
+probit at n = 1000, which ``tests/test_binary.py`` pins with the
+criterion-8 and ``pwlinear`` cases (the others are in ``CHANGES.md``).
 
-Monte Carlo draws come in two levels.  A visited order draws ``mc_draws``
-points if its current posterior share is at least ``_FULL_DRAW_MASS``
-(1e-3), else ``_MIN_DRAWS`` (1000); once the screening budget is met,
-each 1000-draw order whose share has reached 1e-3 is re-run at
-``mc_draws`` from its own stream and cached mode.  So every order of final
-posterior >= 1e-3 is bit-identical to ``binary_log_bf`` at ``mc_draws``,
-and ``mc_draws = 1000`` gives the one-level fit.  An order of posterior p
-whose log value has standard error s moves each inclusion probability by
-about p s (the delta method of ``inclusion_se``): over 64 ``binary-n300``
-fits, with s up to 0.080 nats at 1000 draws, the inclusion curve moved by
-at most 6.1e-5 (median 3.4e-6) against every order at 4000 draws, inside
-the smallest MPM margin |inclusion - 0.5| of 0.041, for half the draws.
+Monte Carlo draws come in two levels: ``mc_draws`` for an order whose
+posterior share is at least ``_FULL_DRAW_MASS`` (1e-3) when visited, or
+reaches it by the end (re-run then from its own stream and cached mode),
+and ``_MIN_DRAWS`` (1000) for the rest; ``mc_draws = 1000`` gives the
+one-level fit.  An order of posterior p whose log value has standard
+error s moves each inclusion probability by about p s (the delta method
+of ``inclusion_se``), so below 1e-3 the 1000-draw orders move it far
+less than the MPM margins (``CHANGES.md``).
 
 One damped-Newton helper finds every mode on this path: it maximizes
 sum_i log Phi(c_i + (A theta)_i) - theta' P theta / 2 and reports its
@@ -111,8 +87,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma, pi
@@ -124,14 +99,16 @@ from scipy.linalg import block_diag
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale
-from .gprior import _check_rank, _logsumexp, _normalized_posterior, _sinh_rule
-from .selector import (
-    FitResult,
+from .gprior import (
     _available_cores,
-    _bernstein_view,
-    _mpm_order,
-    _prepare,
+    _check_rank,
+    _logsumexp,
+    _normalized_posterior,
+    _share,
+    _sinh_rule,
+    _thread_pool,
 )
+from .selector import FitResult, _bernstein_view, _mpm_order, _prepare
 from .transform import build_transform
 
 # The fewest draws in one part of a split orthant-mass kernel call.
@@ -354,12 +331,6 @@ def _level_start(spec: OrthantSpec) -> np.ndarray:
     return np.array([ndtri(rate)])
 
 
-def _thread_pool() -> ThreadPoolExecutor | nullcontext:
-    """A context giving a pool of one worker per core but one, or None on one core."""
-    workers = _available_cores() - 1
-    return ThreadPoolExecutor(max_workers=workers) if workers > 0 else nullcontext()
-
-
 def _log_orthant_mass(
     theta: np.ndarray,
     a: np.ndarray,
@@ -372,8 +343,10 @@ def _log_orthant_mass(
     The orthant-mass kernel of the module docstring: logs of products of
     ``ndtr`` over ``_MASS_CHUNK`` coordinates, ``log_ndtr`` where one underflows.
     With a ``pool`` the rows are cut into min(cores, rows // ``_MIN_PART_ROWS``)
-    near-equal parts; the pool takes all but the first, which the calling
-    thread computes.  Without one the call is serial.
+    near-equal parts, which the calling thread and the pool's workers take
+    in turn from one queue (:func:`gprior._share`): the calling thread
+    computes every part a busy worker has not started.  Without one the
+    call is serial.
     """
     # The one BLAS product runs here, in the calling thread: BLAS threads
     # beside the workers would oversubscribe the cores, and every part
@@ -398,10 +371,7 @@ def _log_orthant_mass(
     draws = len(mass)
     parts = 1 if pool is None else max(1, min(_available_cores(), draws // _MIN_PART_ROWS))
     cuts = [draws * i // parts for i in range(parts + 1)]
-    futures = [pool.submit(part_mass, slice(lo, hi)) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    part_mass(slice(0, cuts[1]))
-    for future in futures:
-        future.result()
+    _share(pool, parts, lambda i: part_mass(slice(cuts[i], cuts[i + 1])))
     with np.errstate(divide="ignore"):
         log_mass = np.log(mass)
     low_rows, low_chunks = np.nonzero(mass < np.finfo(float).tiny)
@@ -763,31 +733,22 @@ def fit_binary(
     Notes
     -----
     Order k is the g-prior w ~ N(0, (2n/(k+1)) I) on the first k
-    orthonormalized degree columns, so every order, the base included, is
-    a column prefix of one signed design built from one QR per fit, and
-    each order's mode is found once, started from the mode of the order
-    below.  Every order is scored by its Laplace log Bayes factor first,
-    and orders 1-6 by the deterministic rule.  Monte Carlo then runs for the
-    screened order of highest log posterior, one at a time, until
-    ``screened_bound`` is at most 1e-6, with the slack c = 4.5 nats
-    covering the Laplace under-estimate.  If every screened order's
-    Laplace log Bayes factor is at most c below its Monte Carlo value, no
-    posterior probability differs from the all-Monte Carlo one by more
-    than e^c ``screened_mass``.  On 50 criterion-8 datasets (n = 300) a
-    fit runs Monte Carlo for 2-9 of the 38 orders above 6, median 4.  Such
-    an order draws points of one (k + 1)-dimensional t proposal around its
-    mode, from the stream keyed by (seed, k): ``mc_draws`` of them if its
-    posterior share is at least 1e-3 when visited or at the end, and 1000
-    otherwise.  So a kept order's ``log_bf``, ``mc_std_error`` and Newton
-    count equal those of ``binary_log_bf`` at its own draw count on the
-    fit's own design, whatever order the orders are visited in.  The fit
-    opens one thread pool, of one worker per core but one (none on one
-    core), and closes it before the refit: a worker continues the chain
-    of modes past order 6 while the calling thread runs the rules, and
-    the Monte Carlo kernel calls split over the pool and the calling
-    thread.  The results are identical at any core count and any BLAS
-    thread count; the module docstring describes the sampler's kernel,
-    the measured Laplace shortfalls and the error of the 1000-draw orders.
+    orthonormalized degree columns.  Every order is scored by its Laplace
+    log Bayes factor first, and orders 1-6 by the deterministic rule.
+    Monte Carlo then runs for the screened order of highest log posterior,
+    one at a time, until ``screened_bound`` is at most 1e-6, with the slack
+    c = 4.5 nats covering the Laplace under-estimate.  If every screened
+    order's Laplace log Bayes factor is at most c below its Monte Carlo
+    value, no posterior probability differs from the all-Monte Carlo one by
+    more than e^c ``screened_mass``.  A visited order draws points of one
+    (k + 1)-dimensional t proposal around its mode, from the stream keyed
+    by (seed, k): ``mc_draws`` of them if its posterior share is at least
+    1e-3 when visited or at the end, and 1000 otherwise.  So a kept order's
+    ``log_bf``, ``mc_std_error`` and Newton count equal those of
+    ``binary_log_bf`` at its own draw count on the fit's own design,
+    whatever order the orders are visited in.  The module docstring
+    describes the fit's one thread pool, closed before the refit, under
+    which results are identical at any core and BLAS thread count.
     """
     if config is None:
         config = BinaryFitConfig()

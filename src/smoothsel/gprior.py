@@ -11,7 +11,10 @@ the QR runs over cache-sized blocks of rows, and the blocks' triangular
 factors are stacked and reduced to one (a tall-skinny QR); up to
 ``_CHUNK`` rows it is a single plain QR.  Every block is one in-place
 LAPACK dgeqrt call, a Householder QR by compact-WY panels of ``_PANEL``
-columns, whose R was bit-identical at 1 and 2 BLAS threads.  Each Bayes factor
+columns, whose R was bit-identical at 1 and 2 BLAS threads.  The call
+releases the GIL, so the blocks run on the calling thread and a pool of
+one worker per core but one; no result depends on the core count.  Each
+Bayes factor
 against the intercept-only base model is a one-dimensional integral over
 v = log omega (logit omega for the arcsine law), where every integrand is
 smooth with exponential tails.  One fixed rule per order evaluates it in
@@ -24,13 +27,17 @@ ratio of two quadratures over identical nodes.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import lgamma
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg import cython_lapack, solve_triangular
 from scipy.special import expit
 
 from .basis import LEGENDRE, DesignMatrix, _check_finite
@@ -264,20 +271,91 @@ class _Factorization(NamedTuple):
         return solve_triangular(self.r[:k, :k], self.z[:k]) * self.scale
 
 
-# Rows per block of the tall-skinny QR.  A 2048 x 63 block is about 1 MB and
-# stays in a core's 2 MB L2 cache while the panel steps of _householder_r
-# sweep it; a 20000-row design (10 MB) does not.  On a 2-core Xeon VM with
-# BLAS at one thread (medians of 75 interleaved calls, two runs), blocks of
-# 1024, 2048 and 4096 rows factorize n = 20000 in 11.0-13.0, 10.6-11.7 and
-# 12.2-13.1 ms; 8192 rows take 13.2-14.4 ms and one block 15.0-15.4 ms.
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_pool() -> ThreadPoolExecutor | nullcontext:
+    """A context giving a pool of one worker per core but one, or None on one core."""
+    workers = _available_cores() - 1
+    return ThreadPoolExecutor(max_workers=workers) if workers > 0 else nullcontext()
+
+
+def _share(pool: Executor | None, parts: int, task: Callable[[int], None]) -> None:
+    """Run ``task(i)`` for i in range(parts) on the calling thread and the pool's workers.
+
+    Each thread takes the next index from one shared iterator, so a slow or
+    busy worker holds only the part it is computing; without a pool the
+    parts run in order in the calling thread.
+    """
+    indices = iter(range(parts))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            task(i)
+
+    helpers = 0 if pool is None else min(parts, _available_cores()) - 1
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    drain()
+    for future in futures:
+        if not future.cancel():  # a worker that started may still hold a part
+            future.result()
+
+
+# Rows per block of the tall-skinny QR: a 2048 x 63 block (1 MB) stays in a
+# core's 2 MB L2 cache.  At n = 20000 (2-core VM, BLAS at one thread) blocks
+# of 1024, 2048 and 4096 rows took 11.0-13.0, 10.6-11.7 and 12.2-13.1 ms.
 _CHUNK = 2048
 
-# Columns per compact-WY panel of _householder_r.  On OpenBLAS 0.3.30,
-# 8-column panels gave bit-identical R at 1 and 2 BLAS threads at every
-# block height tried (n = 300 to 20000); 16- and 64-column panels did not
-# (n = 1500, 2047, 3001, 5000 and 12345).  4-column panels, bit-identical
-# too, ran no faster.
+# Columns per compact-WY panel of _householder_r: on OpenBLAS 0.3.30, 16- and
+# 64-column panels moved R's last bits between 1 and 2 BLAS threads at
+# n = 3001 and 12345 (pinned by tests/test_blas_threads.py); 8 did not.
 _PANEL = 8
+
+
+def _capsule_pointer(capsule: object) -> int:
+    """Address of the C function in a capsule of a Cython module's ``__pyx_capi__``."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return pointer(capsule, name(capsule))
+
+
+_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# LAPACK dgeqrt(M, N, NB, A, LDA, T, LDT, WORK, INFO), every argument by
+# reference.  A CFUNCTYPE call releases the GIL for its duration.
+_LAPACK_DGEQRT = ctypes.CFUNCTYPE(
+    None, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P
+)(_capsule_pointer(cython_lapack.__pyx_capi__["dgeqrt"]))
+
+
+def _dgeqrt(panel: int, buf: np.ndarray) -> np.ndarray:
+    """LAPACK dgeqrt on ``buf.T`` in place, with panels of ``panel`` columns.
+
+    As scipy's ``dgeqrt(panel, buf.T, overwrite_a=1)``: R and the Householder
+    vectors overwrite ``buf.T``; returns the (panel, columns) factors T.
+    """
+    if buf.dtype != np.float64 or not buf.flags.c_contiguous:
+        raise ValueError("dgeqrt needs buf.T Fortran-ordered: buf C-contiguous float64")
+    n_cols, n_rows = buf.shape
+    m, n, nb, info = (ctypes.c_int(v) for v in (n_rows, n_cols, panel, 0))
+    t, work = np.zeros((n_cols, panel)), np.empty(n_cols * panel)
+    a, t_first, work_first = (ctypes.c_double.from_buffer(v) for v in (buf, t, work))
+    # LDA = M and LDT = NB: buf.T and T are contiguous.
+    _LAPACK_DGEQRT(m, n, nb, a, m, t_first, nb, work_first, info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info.value}")
+    return t.T
 
 
 def _householder_r(buf: np.ndarray) -> np.ndarray:
@@ -289,55 +367,62 @@ def _householder_r(buf: np.ndarray) -> np.ndarray:
     steps (Elmroth & Gustavson 2000, IBM J. Res. Dev. 44:605) and applies
     each panel to the columns right of it as one block reflector (Schreiber
     & Van Loan 1989, SIAM J. Sci. Stat. Comput. 10:53); dgeqrf, below its
-    128-column crossover, applies one reflector at a time.  On a 2-core VM
-    (medians of 60 calls) this took the factorization of n = 20000 from 21.0
-    to 8.4 ms at one BLAS thread and from 52.9 to 9.6 ms at OpenBLAS's
-    default two.  The call runs on scipy's OpenBLAS beside numpy's, and the
-    two pools did not stall each other: at default threads, with a
-    least-squares solve and a 400 x 400 product on numpy's pool before each
-    fit, the slowest of 30 fits took 3.9 ms at n = 500 and 23 ms at
-    n = 20000 (two runs).
-    ``buf.T`` has at least as many rows as columns.
+    128-column crossover, applies one reflector at a time, and took the
+    factorization of n = 20000 2.5 times as long (``CHANGES.md``).
+    :func:`_dgeqrt` calls the routine by ``ctypes`` through the capsule of
+    scipy's ``cython_lapack``, which releases the GIL; scipy's f2py
+    ``dgeqrt`` holds it, so ten 2000 x 62 blocks took 6.2 ms on one thread
+    and on two, against 6.3 and 3.8 ms by ``ctypes`` (BLAS at one thread),
+    with bit-identical R.  ``buf.T`` has at least as many rows as columns.
     """
     n_cols = buf.shape[0]
-    a, _, info = dgeqrt(min(_PANEL, n_cols), buf.T, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
+    _dgeqrt(min(_PANEL, n_cols), buf)
     # Only the leading block is triangularized, not the whole n-row buffer.
-    return np.triu(a[:n_cols])
+    return np.triu(buf.T[:n_cols])
 
 
 def _blocked_r(
-    n_rows: int, width: int, fill: Callable[[slice, np.ndarray], None]
+    n_rows: int, width: int, fill: Callable[[int, slice, np.ndarray], None]
 ) -> np.ndarray:
     """R of an n_rows x width matrix, reduced by blocks of rows (tall-skinny QR).
 
-    ``fill(rows, out)`` writes the rows ``rows`` (a slice) of the matrix
-    into ``out``, one row of ``out`` per matrix row, so the whole matrix is
-    never held at once.
+    ``fill(block, rows, out)`` writes block number ``block``, the rows
+    ``rows`` (a slice) of the matrix, into ``out``, one row of ``out`` per
+    matrix row, so the whole matrix is never held at once.
     The rows are cut into the fewest near-equal blocks of at most
-    max(_CHUNK, 4 width) rows; each block is reduced to its R in one reused
-    buffer, and the stacked R's are reduced the same way until one R
-    remains (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput.
-    34:A206).  Every block of a split holds at least 2 width rows, so each
-    level at least halves the rows.  With n_rows <= _CHUNK there is one
-    block: one buffer and one :func:`_householder_r` call, as a plain QR.
+    max(_CHUNK, 4 width) rows; each block is reduced to its R, and the
+    stacked R's are reduced the same way until one R remains (Demmel,
+    Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206).  Every
+    block of a split holds at least 2 width rows, so each level at least
+    halves the rows.  With n_rows <= _CHUNK there is one block: one buffer
+    and one :func:`_householder_r` call, as a plain QR, and no thread.
+    Above that the calling thread and a pool of one worker per core but one
+    share a level's blocks (:func:`_share`), each thread filling one reused
+    buffer and writing each R into its own rows of the stack.  The blocks
+    and the tree depend only on n_rows and width, so R does not depend on
+    the core count.
     """
     n_blocks = -(-n_rows // max(_CHUNK, 4 * width))
     if n_blocks == 1:
         # Fortran layout for dgeqrt: row j of ``buf`` is column j.
         buf = np.empty((width, n_rows))
-        fill(slice(0, n_rows), buf.T)
+        fill(0, slice(0, n_rows), buf.T)
         return _householder_r(buf)
     bounds = n_rows * np.arange(n_blocks + 1) // n_blocks
-    flat = np.empty(width * -(-n_rows // n_blocks))
     stack = np.empty((n_blocks * width, width))
-    for b in range(n_blocks):
+    buffers = threading.local()
+
+    def reduce_block(b: int) -> None:
         lo, hi = int(bounds[b]), int(bounds[b + 1])
-        buf = flat[: width * (hi - lo)].reshape(width, hi - lo)
-        fill(slice(lo, hi), buf.T)
+        if not hasattr(buffers, "flat"):
+            buffers.flat = np.empty(width * -(-n_rows // n_blocks))
+        buf = buffers.flat[: width * (hi - lo)].reshape(width, hi - lo)
+        fill(b, slice(lo, hi), buf.T)
         stack[b * width : (b + 1) * width] = _householder_r(buf)
-    return _blocked_r(stack.shape[0], width, lambda rows, out: np.copyto(out, stack[rows]))
+
+    with _thread_pool() as pool:
+        _share(pool, n_blocks, reduce_block)
+    return _blocked_r(stack.shape[0], width, lambda _, rows, out: np.copyto(out, stack[rows]))
 
 
 def _check_rank(pivots: np.ndarray, col_norms: np.ndarray) -> None:
@@ -360,10 +445,11 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     projections representable at any response scale; r2 is scale-free and
     the coefficients are scaled back.  Only R is formed, never Q.  Each
     block of rows is centered and scaled straight into the buffer that
-    :func:`_blocked_r` factorizes, and the column sums of squares for the
-    rank check are summed block by block as it is filled, so no full copy
-    of the design is made.  With n <= ``_CHUNK`` this is one buffer and
-    one QR.
+    :func:`_blocked_r` factorizes, so no full copy of the design is made.
+    Each block's column sums of squares, for the rank check and ssy, are
+    kept apart as it is filled and added in block order afterwards, so
+    their sums do not depend on which thread filled which block.  With
+    n <= ``_CHUNK`` this is one buffer and one QR.
     """
     n, n_cols = x.shape
     ybar = float(y.mean())
@@ -372,17 +458,18 @@ def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
     if scale == 0.0:
         scale = 1.0
     col_means = x.mean(axis=0)
-    # Centered column sums of squares, then ssy = ||y_c / s||^2.
-    sums = np.zeros(n_cols + 1)
+    # Per block of rows: the centered column sums of squares, then ||y_c / s||^2.
+    block_sums: dict[int, np.ndarray] = {}
 
-    def fill(rows: slice, aug: np.ndarray) -> None:
+    def fill(block: int, rows: slice, aug: np.ndarray) -> None:
         xc = aug[:, :n_cols]
         np.subtract(x[rows], col_means, out=xc)
-        sums[:n_cols] += np.einsum("ij,ij->j", xc, xc)
-        np.divide(yc[rows], scale, out=aug[:, n_cols])
-        sums[n_cols] += aug[:, n_cols] @ aug[:, n_cols]
+        ys = np.divide(yc[rows], scale, out=aug[:, n_cols])
+        block_sums[block] = np.append(np.einsum("ij,ij->j", xc, xc), ys @ ys)
 
     r = _blocked_r(n, n_cols + 1, fill)
+    # Added in block order, whichever thread filled each block.
+    sums = sum(block_sums[block] for block in range(len(block_sums)))
     _check_rank(np.diag(r)[:n_cols], np.sqrt(sums[:n_cols]))
     return _Factorization(
         ybar=ybar,

@@ -16,7 +16,6 @@ reporting, with a bound on the rounding of that transform.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -205,13 +204,6 @@ def _prepare(x: np.ndarray, y: np.ndarray, config) -> tuple:
     return x, y, scale, design, prior
 
 
-def _available_cores() -> int:
-    """Cores this process may run on: its CPU affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _shrunken_legendre(
     beta: np.ndarray, xi: float, col_means: np.ndarray, ybar: float
 ) -> np.ndarray:
@@ -328,7 +320,9 @@ def fit(
         in ``design`` (with the input checks), ``factorization`` (the QR
         and the r2 path), ``quadrature`` (the Bayes factors),
         ``selection`` (with the losses) and ``coefficients``; they sum to
-        ``timing_seconds``.
+        ``timing_seconds``.  Above 2048 rows the QR runs its blocks on a
+        thread pool of a worker per core but one (none on one core); no
+        result depends on it.
         ``diagnostics["quadrature_centre"]`` and ``["quadrature_scale"]``
         place each order's Bayes-factor rule in its variable v.
     """

@@ -22,9 +22,8 @@ from scipy.integrate import quad
 
 from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
-from .selector import (
-    _MIN_SAMPLE, FitConfig, FitResult, _available_cores, _shrunken_legendre, fit
-)
+from .gprior import _available_cores
+from .selector import _MIN_SAMPLE, FitConfig, FitResult, _shrunken_legendre, fit
 
 POLY5 = "poly5"
 PWLINEAR = "pwlinear"

@@ -17,6 +17,7 @@ from scipy.special import log_ndtr, logsumexp, ndtr
 from scipy.stats import multivariate_normal
 
 import smoothsel.binary as binary_module
+import smoothsel.gprior as gprior_module
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
     _FULL_DRAW_MASS,
@@ -604,16 +605,28 @@ class TestFitBinary:
             )
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A thread pool that counts the parts submitted to it."""
+def patch_cores(monkeypatch, cores):
+    """Set the core count that sizes the pools (gprior) and splits the kernel (binary)."""
+    for module in (gprior_module, binary_module):
+        monkeypatch.setattr(module, "_available_cores", lambda: cores)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.submitted = 0
 
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
+def record_parts(monkeypatch):
+    """For each kernel call split by _share, the threads that computed its parts."""
+    calls = []
+
+    def spy(pool, parts, task):
+        threads = []
+        calls.append(threads)
+
+        def recorded(i):
+            threads.append(threading.get_ident())
+            task(i)
+
+        gprior_module._share(pool, parts, recorded)
+
+    monkeypatch.setattr(binary_module, "_share", spy)
+    return calls
 
 
 class TestParallelSampler:
@@ -640,17 +653,18 @@ class TestParallelSampler:
             return (est.log_bf, est.mc_std_error), self.fit_fields(fit_binary(x, y, cfg))
 
         if cores is not None:
-            monkeypatch.setattr(binary_module, "_available_cores", lambda: cores)
+            patch_cores(monkeypatch, cores)
         est, fields = run()
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        patch_cores(monkeypatch, 1)
         serial_est, serial_fields = run()
         assert est == serial_est
         for got, want in zip(fields, serial_fields):
             np.testing.assert_array_equal(got, want)
 
     def test_partial_last_block_matches_one_block(self, monkeypatch):
-        # 1300 draws in three parts of 433, 433 and 434 rows, two of them on
-        # an explicit pool of two workers, against one serial call.
+        # 1300 draws in three parts of 433, 433 and 434 rows, computed by
+        # this thread and an explicit pool of two workers, whichever takes
+        # each part first, against one serial call.
         n, k, n_draws = 40, 2, 1300
         spec = OrthantSpec.from_response(np.arange(n) % 3 == 0)
         a_n = _signed_design(spec, legendre_design(n, k, seed=6), k)
@@ -661,12 +675,14 @@ class TestParallelSampler:
                 a_n, _g_prior(n, k)[0], mode, n_draws, np.random.default_rng([4, k]), pool=pool
             )
 
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        patch_cores(monkeypatch, 3)
         assert n_draws % 3 != 0
-        with CountingPool(max_workers=2) as pool:
+        calls = record_parts(monkeypatch)
+        with ThreadPoolExecutor(max_workers=2) as pool:
             split = run(pool)
-        assert pool.submitted == 2
+        assert len(calls) == 1 and len(calls[0]) == 3
         assert split == run()
+        assert calls[1] == [threading.get_ident()]
 
     def test_underflow_fallback_identical_at_any_core_count(self, monkeypatch):
         # 1300 rows in three parts, the underflowing chunks spread over all
@@ -678,23 +694,25 @@ class TestParallelSampler:
         spec = OrthantSpec.from_response(np.array([1, 1, 0, 0]))
         pools = []
 
-        def counting_pool(**kwargs):
-            pools.append(CountingPool(**kwargs))
+        def recorded_pool(**kwargs):
+            pools.append(ThreadPoolExecutor(**kwargs))
             return pools[-1]
 
         def run(pool=None):
             return (_log_orthant_mass(theta, a, pool=pool),
                     orthant_probability(spec, -40.0, f, n_draws=2000, seed=3))
 
-        monkeypatch.setattr(binary_module, "ThreadPoolExecutor", counting_pool)
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
-        with CountingPool(max_workers=2) as pool:
+        monkeypatch.setattr(gprior_module, "ThreadPoolExecutor", recorded_pool)
+        patch_cores(monkeypatch, 3)
+        calls = record_parts(monkeypatch)
+        with ThreadPoolExecutor(max_workers=2) as pool:
             pooled = run(pool)
-        assert pool.submitted == 2
-        assert [p.submitted for p in pools] == [2]
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
+        assert len(pools) == 1
+        assert [len(threads) for threads in calls] == [3, 3]
+        patch_cores(monkeypatch, 1)
         serial = run()
         assert len(pools) == 1
+        assert [threads for threads in calls[2:]] == [[threading.get_ident()]] * 2
         np.testing.assert_array_equal(pooled[0], serial[0])
         assert pooled[1] == serial[1]
 
@@ -708,7 +726,7 @@ class TestParallelSampler:
         assert se == pytest.approx(0.004919413722407682, rel=1e-9)
 
     def test_no_worker_outlives_the_fit(self, monkeypatch):
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        patch_cores(monkeypatch, 3)
         rng = np.random.default_rng(42)
         x = rng.uniform(0, 1, 40)
         y = (rng.uniform(size=40) < ndtr(2.0 * x - 1.0)).astype(int)
@@ -759,7 +777,7 @@ class TestParallelSampler:
         # Three cores: a pool of two workers.  One continues the chain from
         # order 7 while this thread runs the rules of orders 1-6; then the
         # Monte Carlo kernel calls split over both workers and this thread.
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 3)
+        patch_cores(monkeypatch, 3)
         seen = self.record_threads(monkeypatch)
         caller = threading.get_ident()
         x, y = criterion_8_sample(0)
@@ -777,8 +795,8 @@ class TestParallelSampler:
         def no_pool(**kwargs):
             raise AssertionError("a thread pool opened on one core")
 
-        monkeypatch.setattr(binary_module, "_available_cores", lambda: 1)
-        monkeypatch.setattr(binary_module, "ThreadPoolExecutor", no_pool)
+        patch_cores(monkeypatch, 1)
+        monkeypatch.setattr(gprior_module, "ThreadPoolExecutor", no_pool)
         seen = self.record_threads(monkeypatch)
         caller = threading.get_ident()
         x, y = criterion_8_sample(0)

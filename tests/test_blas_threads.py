@@ -2,8 +2,8 @@
 
 Each case runs in a child process whose environment alone sets
 ``OPENBLAS_NUM_THREADS``; this process's thread settings are untouched.
-One more child pins itself to one CPU, so ``fit_binary`` takes its real
-single-core path, with no thread pool.
+One more child pins itself to one CPU, so ``fit`` above one block of rows
+and ``fit_binary`` take their real single-core path, with no thread pool.
 """
 
 import os
@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Prints one line per fit: its JSON without the timings.  Floats print at
 # full precision, so equal lines mean equal values bit for bit.  With the
 # argument "one-core" the child pins itself to one CPU before numpy loads
-# and runs only the fit_binary cases.
+# and runs the multi-block fit cases and the fit_binary cases.
 CHILD = """
 import os
 import sys
@@ -29,7 +29,7 @@ import json
 import numpy as np
 from scipy.special import ndtr
 import smoothsel as ss
-from smoothsel.selector import _available_cores
+from smoothsel.gprior import _available_cores
 
 def show(result):
     out = result.to_dict()
@@ -39,9 +39,8 @@ def show(result):
 
 if ONE_CORE:
     assert _available_cores() == 1
-else:
-    for n in (500, 3001, 5000, 12345, 20000):
-        show(ss.fit(*ss.generate(ss.Scenario("poly5", n, 2.0, 1, n), 0)))
+for n in (3001, 5000, 12345, 20000) if ONE_CORE else (500, 3001, 5000, 12345, 20000):
+    show(ss.fit(*ss.generate(ss.Scenario("poly5", n, 2.0, 1, n), 0)))
 for rep in range(3):
     rng = np.random.default_rng([500, rep])
     x = rng.uniform(0.0, 1.0, 300)
@@ -51,7 +50,9 @@ for rep in range(3):
 
 
 BINARY_CASES = ["binary-0", "binary-1", "binary-2"]
-CASES = ["fit-n500", "fit-n3001", "fit-n5000", "fit-n12345", "fit-n20000"] + BINARY_CASES
+BLOCKED_FIT_CASES = ["fit-n3001", "fit-n5000", "fit-n12345", "fit-n20000"]
+ONE_CORE_CASES = BLOCKED_FIT_CASES + BINARY_CASES
+CASES = ["fit-n500"] + ONE_CORE_CASES
 
 
 def run_child(env, *args):
@@ -80,8 +81,8 @@ def one_core_fits():
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     lines = run_child(env, "one-core")
-    assert len(lines) == len(BINARY_CASES)
-    return dict(zip(BINARY_CASES, lines))
+    assert len(lines) == len(ONE_CORE_CASES)
+    return dict(zip(ONE_CORE_CASES, lines))
 
 
 @pytest.mark.slow
@@ -94,4 +95,11 @@ def test_fit_identical_at_one_and_two_blas_threads(fits, case):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 @pytest.mark.parametrize("case", BINARY_CASES)
 def test_binary_fit_identical_on_one_core(fits, one_core_fits, case):
+    assert one_core_fits[case] == fits[1][case] == fits[2][case]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("case", BLOCKED_FIT_CASES)
+def test_fit_identical_on_one_core(fits, one_core_fits, case):
     assert one_core_fits[case] == fits[1][case] == fits[2][case]

@@ -6,11 +6,15 @@ route for r2 near 1; neither shares code with the library's engine
 (different substitutions, different densities, different integrator).
 """
 
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.linalg.lapack import dgeqrt as f2py_dgeqrt
 from scipy.special import logsumexp
 
 from oracles import (
@@ -23,11 +27,14 @@ from smoothsel import gprior
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import (
     _CHUNK,
+    _PANEL,
     ModelFitStats,
     OmegaPrior,
+    _dgeqrt,
     _factorize,
     _householder_r,
     _logsumexp,
+    _share,
     fit_stats,
     log_bayes_factor,
     model_posterior,
@@ -283,9 +290,11 @@ class TestBlockedFactorization:
         shapes = _spy_householder(monkeypatch)
         n_cols = _CHUNK // 4 + 7
         self.check_against_plain_qr(4 * (n_cols + 1) + 1, n_cols, seed=1)
-        # Two blocks of 2 (N + 1) and 2 (N + 1) + 1 rows, then their stacked R's.
+        # Two blocks of 2 (N + 1) and 2 (N + 1) + 1 rows, in the order two
+        # threads reach them, then their stacked R's.
         width = n_cols + 1
-        assert [rows for _, rows in shapes] == [2 * width, 2 * width + 1, 2 * width]
+        rows = [rows for _, rows in shapes]
+        assert sorted(rows[:2]) == [2 * width, 2 * width + 1] and rows[2:] == [2 * width]
         assert all(rows > cols for cols, rows in shapes)
 
     def test_stacked_factors_are_reduced_by_blocks_again(self, monkeypatch):
@@ -335,6 +344,78 @@ class TestBlockedFactorization:
         # In place: R stays in the leading rows of buf.T.
         np.testing.assert_array_equal(np.triu(buf.T[:width]), r)
 
+    @pytest.mark.parametrize("width", [2, 7, 8, 9, 16, 63])
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_dgeqrt_matches_scipy_f2py(self, width, tall):
+        # The ctypes call through cython_lapack's capsule against scipy's
+        # f2py wrapper of the same routine: a and T bit for bit.
+        n = _CHUNK if tall else 2 * width
+        buf = np.random.default_rng([width, n, 1]).standard_normal((width, n))
+        ref = buf.copy()
+        want_a, want_t, info = f2py_dgeqrt(min(_PANEL, width), ref.T, overwrite_a=1)
+        assert info == 0
+        t = _dgeqrt(min(_PANEL, width), buf)
+        np.testing.assert_array_equal(buf.T, want_a)
+        np.testing.assert_array_equal(t, want_t)
+
+    def test_dgeqrt_rejects_a_buffer_it_cannot_take_in_place(self):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            _dgeqrt(2, np.ones((4, 3)).T)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            _dgeqrt(2, np.ones((3, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("n", [3001, 12345, 20000])
+    def test_identical_at_any_core_count(self, n, monkeypatch):
+        # Blocks of 1500/1501, 1763/1764 and 2000 rows, on 0, 1 and 2
+        # workers beside this thread.
+        rng = np.random.default_rng(n)
+        x = build_design(rng.uniform(0, 1, n), UNIT, 30, "legendre").values[:, 1:]
+        y = np.sin(7.0 * x[:, 0]) + rng.standard_normal(n)
+        factors = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(gprior, "_available_cores", lambda: cores)
+            factors.append(_factorize(y, x))
+        for factor in factors[1:]:
+            for got, want in zip(factor, factors[0]):
+                np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def refuse_pools(monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("a thread pool opened")
+
+        monkeypatch.setattr(gprior, "ThreadPoolExecutor", no_pool)
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(gprior, "_available_cores", lambda: 1)
+        self.refuse_pools(monkeypatch)
+        before = threading.active_count()
+        fit(*generate(Scenario("poly5", 5000, 2.0, 1, 5), 0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [500, _CHUNK])
+    def test_one_block_opens_no_pool(self, n, monkeypatch):
+        monkeypatch.setattr(gprior, "_available_cores", lambda: 3)
+        self.refuse_pools(monkeypatch)
+        fit(*generate(Scenario("poly5", n, 2.0, 1, 5), 0))
+
+    def test_no_worker_outlives_the_fit(self, monkeypatch):
+        # Three cores: the 5000 rows run as three blocks on two workers and
+        # this thread, and the pool is shut down before fit returns.
+        monkeypatch.setattr(gprior, "_available_cores", lambda: 3)
+        pools = []
+
+        def recorded_pool(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return gprior_pool(**kwargs)
+
+        gprior_pool = gprior.ThreadPoolExecutor
+        monkeypatch.setattr(gprior, "ThreadPoolExecutor", recorded_pool)
+        before = threading.active_count()
+        fit(*generate(Scenario("poly5", 5000, 2.0, 1, 5), 0))
+        assert pools == [2]
+        assert threading.active_count() == before
+
     def test_collinear_column_rejected_across_blocks(self):
         # Three distinct x values support two centered columns, in every block.
         x = np.tile([0.1, 0.5, 0.9], _CHUNK + 2)
@@ -348,6 +429,46 @@ class TestBlockedFactorization:
         design = build_design(x, result.scale, result.max_order, "legendre")
         assert np.all(np.isfinite(_factorize(y, design.values[:, 1:]).log1m_r2()))
         assert result.selected_order == 5
+
+
+class TestShare:
+    """_share: the calling thread and a pool's workers take parts from one queue."""
+
+    def test_every_part_once_under_contention(self, monkeypatch):
+        # More workers than cores, and a switch interval short enough to
+        # interleave the threads often: no part is lost or run twice.
+        monkeypatch.setattr(gprior, "_available_cores", lambda: 9)
+        done = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    done.clear()
+                    _share(pool, 500, done.append)
+                    assert sorted(done) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_caller_takes_the_parts_of_a_busy_worker(self, monkeypatch):
+        # The pool's one worker is held by other work: this thread computes
+        # all three parts and returns without waiting for it.
+        monkeypatch.setattr(gprior, "_available_cores", lambda: 2)
+        release = threading.Event()
+        caller = threading.get_ident()
+        threads = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 10.0)
+            _share(pool, 3, lambda i: threads.append(threading.get_ident()))
+            assert not busy.done()
+            release.set()
+            assert busy.result(timeout=10.0)
+        assert threads == [caller] * 3
+
+    def test_serial_without_a_pool(self):
+        done = []
+        _share(None, 4, done.append)
+        assert done == [0, 1, 2, 3]
 
 
 class TestLogSumExp:

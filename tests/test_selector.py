@@ -11,11 +11,10 @@ import pytest
 
 from smoothsel.basis import _ORDER_CAP, PredictorScale, build_design, max_order
 from smoothsel.binary import BinaryFitConfig, fit_binary
-from smoothsel.gprior import ModelPosterior, OmegaPrior
+from smoothsel.gprior import ModelPosterior, OmegaPrior, _available_cores
 from smoothsel.selector import (
     _MIN_SAMPLE,
     FitConfig,
-    _available_cores,
     _bernstein_view,
     _losses,
     fit,

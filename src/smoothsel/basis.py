@@ -118,12 +118,12 @@ def _bernstein_rows(u: np.ndarray, order: int) -> np.ndarray:
     return rows.T
 
 
-def _legendre_rows(u: np.ndarray, order: int) -> np.ndarray:
-    # Shifted Legendre three-term recurrence on [0, 1]:
-    # (k + 1) psi_{k+1} = (2k + 1)(2u - 1) psi_k - k psi_{k-1}.
-    # Each step is ((2k + 1) t rows[k] - k rows[k - 1]) / (k + 1), in that
-    # order, written in place into rows[k + 1] with one scratch row.
-    rows = np.zeros((order + 1, u.shape[0]))
+def _legendre_rows(u: np.ndarray, order: int, spare: int = 0) -> np.ndarray:
+    # Shifted Legendre three-term recurrence on [0, 1], (k + 1) psi_{k+1} =
+    # (2k + 1)(2u - 1) psi_k - k psi_{k-1}, in rows 0..order of a C-ordered
+    # buffer whose ``spare`` rows after them stay unset.  Each step is ((2k + 1)
+    # t rows[k] - k rows[k - 1]) / (k + 1), in that order, written in place.
+    rows = np.empty((order + 1 + spare, u.shape[0]))
     rows[0] = 1.0
     if order >= 1:
         t = 2.0 * u - 1.0
@@ -136,7 +136,7 @@ def _legendre_rows(u: np.ndarray, order: int) -> np.ndarray:
             np.multiply(k, rows[k - 1], out=nxt)
             np.subtract(scratch, nxt, out=nxt)
             np.divide(nxt, k + 1, out=nxt)
-    return rows.T
+    return rows
 
 
 def build_design(
@@ -169,7 +169,7 @@ def build_design(
     if basis == BERNSTEIN:
         values = _bernstein_rows(u, order)
     elif basis == LEGENDRE:
-        values = _legendre_rows(u, order)
+        values = _legendre_rows(u, order).T
     else:
         raise ValueError(f"unknown basis tag: {basis!r}")
     return DesignMatrix(basis=basis, order=order, values=values)

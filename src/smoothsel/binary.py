@@ -98,7 +98,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import block_diag
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale
+from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale, _legendre_rows
 from .gprior import (
     _available_cores,
     _check_rank,
@@ -753,9 +753,10 @@ def fit_binary(
     if config is None:
         config = BinaryFitConfig()
     marks = [time.perf_counter()]
-    x, y, scale, design, prior = _prepare(x, y, config)
+    x, y, scale, u, n_max, prior = _prepare(x, y, config)
+    design = DesignMatrix(LEGENDRE, n_max, _legendre_rows(u, n_max).T)
     spec = _two_sided_orthant(y)
-    n, n_max = x.size, design.order
+    n = x.size
     marks.append(time.perf_counter())
 
     a_n = _signed_design(spec, design, n_max)

@@ -3,18 +3,18 @@
 The inverse scale omega = 1/g carries one of three objective mixing
 distributions: an arcsine (Beta(1/2, 1/2)) law on (0, 1), a Gamma law on
 (0, inf), or a Gamma law whose rate is itself Gamma distributed (the last
-marginalizes in closed form to a scaled beta-prime density).  One QR
-factorization of the centered design, with the scaled response appended
-as a last column, gives the r2 of every nested order, and log(1 - r2) from
-its residual sums of squares without cancellation.  Above ``_CHUNK`` rows
-the QR runs over cache-sized blocks of rows, and the blocks' triangular
-factors are stacked and reduced to one (a tall-skinny QR); up to
-``_CHUNK`` rows it is a single plain QR.  Every block is one in-place
-LAPACK dgeqrt call, a Householder QR by compact-WY panels of ``_PANEL``
-columns, whose R was bit-identical at 1 and 2 BLAS threads.  The call
-releases the GIL, so the blocks run on the calling thread and a pool of
-one worker per core but one; no result depends on the core count.  Each
-Bayes factor
+marginalizes in closed form to a scaled beta-prime density).  One QR of
+[1 | x | y_c / s], the design with the centered, scaled response appended,
+gives the r2 of every nested order, and log(1 - r2) from its residual sums
+of squares without cancellation; its first reflector, on the constant
+column, does the centering.  The QR works in place in the buffer that
+holds the design's rows.  Above ``_CHUNK`` rows it runs over cache-sized
+blocks of those rows, and the blocks' triangular factors are stacked and
+reduced to one (a tall-skinny QR).  Every block is one LAPACK dgeqrt call,
+a Householder QR by compact-WY panels of ``_PANEL`` columns, whose R was
+bit-identical at 1 and 2 BLAS threads.  The call releases the GIL, so the
+blocks run on the calling thread and a pool of one worker per core but
+one; no result depends on the core count.  Each Bayes factor
 against the intercept-only base model is a one-dimensional integral over
 v = log omega (logit omega for the arcsine law), where every integrand is
 smooth with exponential tails.  One fixed rule per order evaluates it in
@@ -33,6 +33,7 @@ import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 from typing import Callable, NamedTuple
 
@@ -227,14 +228,13 @@ class ModelFitStats:
 
 
 class _Factorization(NamedTuple):
-    """One QR of the centered design with the scaled response appended.
+    """One QR of [1 | x | y_c / s], read from its R by :func:`_factorize_rows`.
 
-    R is prefix-nested: its leading k x k block and z[:k] are the
-    triangular factor and the projected response of the order-k model, so
-    one factorization serves every nested r2 and coefficient vector.  R is
-    unique up to the signs of its rows, which cancel in every quantity
-    read from it; with more than ``_CHUNK`` rows it comes from the block
-    reduction of :func:`_blocked_r`.
+    ``r`` is R without the constant's row and column: the factor of the
+    centered columns.  It is prefix-nested: its leading k x k block and
+    z[:k] are those of the order-k model, so one factorization serves every
+    nested r2 and coefficient vector.  R is unique up to the signs of its
+    rows, which cancel in every quantity read from it.
     """
 
     ybar: float
@@ -244,6 +244,7 @@ class _Factorization(NamedTuple):
     rho2: float  # squared residual of (y - ybar) / scale after all N columns
     ssy: float  # ||(y - ybar) / scale||^2
     scale: float  # max |y - ybar|, or 1 for a constant response
+    col_ss: np.ndarray  # (N,) sums of squares n m_j^2 + ||r e_j||^2 of the columns
 
     def r2(self) -> np.ndarray:
         """(N + 1,) coefficient of determination of orders 0..N."""
@@ -310,9 +311,8 @@ def _share(pool: Executor | None, parts: int, task: Callable[[int], None]) -> No
             future.result()
 
 
-# Rows per block of the tall-skinny QR: a 2048 x 63 block (1 MB) stays in a
-# core's 2 MB L2 cache.  At n = 20000 (2-core VM, BLAS at one thread) blocks
-# of 1024, 2048 and 4096 rows took 11.0-13.0, 10.6-11.7 and 12.2-13.1 ms.
+# Rows per block of the tall-skinny QR: a 2048 x 62 block (1 MB) stays in a
+# core's 2 MB L2 cache (blocks of 1024 and 4096 rows were slower, CHANGES.md).
 _CHUNK = 2048
 
 # Columns per compact-WY panel of _householder_r: on OpenBLAS 0.3.30, 16- and
@@ -339,90 +339,84 @@ _LAPACK_DGEQRT = ctypes.CFUNCTYPE(
 )(_capsule_pointer(cython_lapack.__pyx_capi__["dgeqrt"]))
 
 
-def _dgeqrt(panel: int, buf: np.ndarray) -> np.ndarray:
-    """LAPACK dgeqrt on ``buf.T`` in place, with panels of ``panel`` columns.
+def _dgeqrt(panel: int, buf: np.ndarray, first: int, rows: int) -> np.ndarray:
+    """LAPACK dgeqrt in place on rows first..first + rows - 1 of ``buf.T``, by panels of ``panel``.
 
-    As scipy's ``dgeqrt(panel, buf.T, overwrite_a=1)``: R and the Householder
-    vectors overwrite ``buf.T``; returns the (panel, columns) factors T.
+    As scipy's ``dgeqrt(panel, buf.T[first:first + rows], overwrite_a=1)``: R
+    and the Householder vectors overwrite those rows; returns the (panel,
+    columns) factors T.  The block is passed by its first element with LDA =
+    n, the height of ``buf.T``, so it is not copied.
     """
     if buf.dtype != np.float64 or not buf.flags.c_contiguous:
         raise ValueError("dgeqrt needs buf.T Fortran-ordered: buf C-contiguous float64")
-    n_cols, n_rows = buf.shape
-    m, n, nb, info = (ctypes.c_int(v) for v in (n_rows, n_cols, panel, 0))
+    n_cols, n = buf.shape
+    if not (0 <= first and n_cols <= rows and first + rows <= n):
+        raise ValueError(f"rows {first}..{first + rows - 1} of {n}: no block of {n_cols} columns")
+    m, cols, nb, lda, info = (ctypes.c_int(v) for v in (rows, n_cols, panel, n, 0))
     t, work = np.zeros((n_cols, panel)), np.empty(n_cols * panel)
-    a, t_first, work_first = (ctypes.c_double.from_buffer(v) for v in (buf, t, work))
-    # LDA = M and LDT = NB: buf.T and T are contiguous.
-    _LAPACK_DGEQRT(m, n, nb, a, m, t_first, nb, work_first, info)
+    a = ctypes.c_double.from_buffer(buf, first * buf.itemsize)
+    t_first, work_first = (ctypes.c_double.from_buffer(v) for v in (t, work))
+    _LAPACK_DGEQRT(m, cols, nb, a, lda, t_first, nb, work_first, info)  # LDT = NB
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info.value}")
     return t.T
 
 
-def _householder_r(buf: np.ndarray) -> np.ndarray:
-    """R of the QR of ``buf.T``, with Householder vectors left in ``buf``.
+@lru_cache
+def _strict_lower(width: int) -> np.ndarray:
+    """Mask of the entries below the diagonal of a width x width matrix."""
+    return np.tri(width, k=-1, dtype=bool)
 
-    One LAPACK dgeqrt call, in place, on one block of rows (see
-    :func:`_blocked_r`): ``buf.T`` is Fortran-ordered, so no copy is made.
-    dgeqrt factorizes panels of ``_PANEL`` columns by recursive compact-WY
-    steps (Elmroth & Gustavson 2000, IBM J. Res. Dev. 44:605) and applies
-    each panel to the columns right of it as one block reflector (Schreiber
-    & Van Loan 1989, SIAM J. Sci. Stat. Comput. 10:53); dgeqrf, below its
-    128-column crossover, applies one reflector at a time, and took the
-    factorization of n = 20000 2.5 times as long (``CHANGES.md``).
-    :func:`_dgeqrt` calls the routine by ``ctypes`` through the capsule of
-    scipy's ``cython_lapack``, which releases the GIL; scipy's f2py
-    ``dgeqrt`` holds it, so ten 2000 x 62 blocks took 6.2 ms on one thread
-    and on two, against 6.3 and 3.8 ms by ``ctypes`` (BLAS at one thread),
-    with bit-identical R.  ``buf.T`` has at least as many rows as columns.
+
+def _householder_r(buf: np.ndarray, first: int, rows: int, out: np.ndarray) -> np.ndarray:
+    """R of rows first..first + rows - 1 of ``buf.T``, written to ``out`` and returned.
+
+    One LAPACK dgeqrt call in place on ``buf``, which keeps the Householder
+    vectors: panels of ``_PANEL`` columns by recursive compact-WY steps
+    (Elmroth & Gustavson 2000, IBM J. Res. Dev. 44:605), each applied to the
+    columns right of it as one block reflector (Schreiber & Van Loan 1989,
+    SIAM J. Sci. Stat. Comput. 10:53).  :func:`_dgeqrt` calls it through
+    the capsule of scipy's ``cython_lapack``, which releases the GIL (scipy's
+    f2py ``dgeqrt`` holds it), so blocks run in parallel (``CHANGES.md``).
     """
-    n_cols = buf.shape[0]
-    _dgeqrt(min(_PANEL, n_cols), buf)
-    # Only the leading block is triangularized, not the whole n-row buffer.
-    return np.triu(buf.T[:n_cols])
+    width = buf.shape[0]
+    _dgeqrt(min(_PANEL, width), buf, first, rows)
+    out[...] = buf.T[first : first + width]
+    np.copyto(out, 0.0, where=_strict_lower(width))
+    return out
 
 
-def _blocked_r(
-    n_rows: int, width: int, fill: Callable[[int, slice, np.ndarray], None]
-) -> np.ndarray:
-    """R of an n_rows x width matrix, reduced by blocks of rows (tall-skinny QR).
+def _blocked_r(buf: np.ndarray) -> np.ndarray:
+    """R of the QR of ``buf.T``, reduced in place by blocks of rows (tall-skinny QR).
 
-    ``fill(block, rows, out)`` writes block number ``block``, the rows
-    ``rows`` (a slice) of the matrix, into ``out``, one row of ``out`` per
-    matrix row, so the whole matrix is never held at once.
-    The rows are cut into the fewest near-equal blocks of at most
+    ``buf`` is C-ordered, so ``buf.T`` is a Fortran-ordered n_rows x width
+    matrix and every block of its rows is factorized where it lies.  The
+    rows are cut into the fewest near-equal blocks of at most
     max(_CHUNK, 4 width) rows; each block is reduced to its R, and the
     stacked R's are reduced the same way until one R remains (Demmel,
     Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206).  Every
     block of a split holds at least 2 width rows, so each level at least
-    halves the rows.  With n_rows <= _CHUNK there is one block: one buffer
-    and one :func:`_householder_r` call, as a plain QR, and no thread.
-    Above that the calling thread and a pool of one worker per core but one
-    share a level's blocks (:func:`_share`), each thread filling one reused
-    buffer and writing each R into its own rows of the stack.  The blocks
-    and the tree depend only on n_rows and width, so R does not depend on
-    the core count.
+    halves the rows.  With n_rows <= _CHUNK there is one block: one
+    :func:`_householder_r` call, as a plain QR, and no thread.  Above that
+    the calling thread and a pool of one worker per core but one share a
+    level's blocks (:func:`_share`), each writing its R into its own rows
+    of the next level's buffer.  The blocks and the tree depend only on
+    n_rows and width, so R does not depend on the core count.
     """
+    width, n_rows = buf.shape
     n_blocks = -(-n_rows // max(_CHUNK, 4 * width))
     if n_blocks == 1:
-        # Fortran layout for dgeqrt: row j of ``buf`` is column j.
-        buf = np.empty((width, n_rows))
-        fill(0, slice(0, n_rows), buf.T)
-        return _householder_r(buf)
+        return _householder_r(buf, 0, n_rows, np.empty((width, width)))
     bounds = n_rows * np.arange(n_blocks + 1) // n_blocks
-    stack = np.empty((n_blocks * width, width))
-    buffers = threading.local()
+    stack = np.empty((width, n_blocks * width))
 
     def reduce_block(b: int) -> None:
         lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if not hasattr(buffers, "flat"):
-            buffers.flat = np.empty(width * -(-n_rows // n_blocks))
-        buf = buffers.flat[: width * (hi - lo)].reshape(width, hi - lo)
-        fill(b, slice(lo, hi), buf.T)
-        stack[b * width : (b + 1) * width] = _householder_r(buf)
+        _householder_r(buf, lo, hi - lo, stack.T[b * width : (b + 1) * width])
 
     with _thread_pool() as pool:
         _share(pool, n_blocks, reduce_block)
-    return _blocked_r(stack.shape[0], width, lambda _, rows, out: np.copyto(out, stack[rows]))
+    return _blocked_r(stack)
 
 
 def _check_rank(pivots: np.ndarray, col_norms: np.ndarray) -> None:
@@ -438,48 +432,50 @@ def _check_rank(pivots: np.ndarray, col_norms: np.ndarray) -> None:
         )
 
 
-def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
-    """QR of [x_c | y_c / s] for the degree-1..N columns ``x``.
+def _factorize_rows(work: np.ndarray, y: np.ndarray) -> _Factorization:
+    """QR of [1 | x | y_c / s] in place in the C-ordered (N + 2, n) buffer ``work``.
 
-    Dividing the centered response by s = max |y_c| keeps ssy and the
-    projections representable at any response scale; r2 is scale-free and
-    the coefficients are scaled back.  Only R is formed, never Q.  Each
-    block of rows is centered and scaled straight into the buffer that
-    :func:`_blocked_r` factorizes, so no full copy of the design is made.
-    Each block's column sums of squares, for the rank check and ssy, are
-    kept apart as it is filled and added in block order afterwards, so
-    their sums do not depend on which thread filled which block.  With
-    n <= ``_CHUNK`` this is one buffer and one QR.
+    Rows 0..N of ``work`` hold ones and the degree-1..N columns x; row N + 1
+    gets y_c / s, s = max |y_c|, which keeps ssy and z representable at any
+    response scale.  Only R is formed.  Its first reflector, on the constant
+    column, does the centering (Bjorck 1996, Numerical Methods for Least
+    Squares Problems): R[0, j] / R[0, 0] is the mean m_j of column j, and
+    R[1:, 1:] the R of the centered problem, whose column norms the rank
+    check reads.  ssy is summed by ``einsum``'s own loop, not by a BLAS dot
+    whose last bit moved with the BLAS thread count.
     """
-    n, n_cols = x.shape
     ybar = float(y.mean())
-    yc = y - ybar
-    scale = float(np.max(np.abs(yc)))
-    if scale == 0.0:
-        scale = 1.0
-    col_means = x.mean(axis=0)
-    # Per block of rows: the centered column sums of squares, then ||y_c / s||^2.
-    block_sums: dict[int, np.ndarray] = {}
-
-    def fill(block: int, rows: slice, aug: np.ndarray) -> None:
-        xc = aug[:, :n_cols]
-        np.subtract(x[rows], col_means, out=xc)
-        ys = np.divide(yc[rows], scale, out=aug[:, n_cols])
-        block_sums[block] = np.append(np.einsum("ij,ij->j", xc, xc), ys @ ys)
-
-    r = _blocked_r(n, n_cols + 1, fill)
-    # Added in block order, whichever thread filled each block.
-    sums = sum(block_sums[block] for block in range(len(block_sums)))
-    _check_rank(np.diag(r)[:n_cols], np.sqrt(sums[:n_cols]))
+    ys = np.subtract(y, ybar, out=work[-1])
+    scale = float(np.max(np.abs(ys))) or 1.0
+    np.divide(ys, scale, out=ys)
+    ssy = float(np.einsum("i,i->", ys, ys))
+    r = _blocked_r(work)
+    col_means = r[0, 1:-1] / r[0, 0]
+    rc = r[1:-1, 1:-1]
+    centered_ss = np.einsum("ij,ij->j", rc, rc)
+    _check_rank(np.diag(rc), np.sqrt(centered_ss))
     return _Factorization(
         ybar=ybar,
         col_means=col_means,
-        r=r[:n_cols, :n_cols],
-        z=r[:n_cols, n_cols],
-        rho2=float(r[n_cols, n_cols] ** 2),
-        ssy=float(sums[n_cols]),
+        r=rc,
+        z=r[1:-1, -1],
+        rho2=float(r[-1, -1] ** 2),
+        ssy=ssy,
         scale=scale,
+        col_ss=work.shape[1] * col_means**2 + centered_ss,
     )
+
+
+def _factorize(y: np.ndarray, x: np.ndarray) -> _Factorization:
+    """:func:`_factorize_rows` of the degree-1..N columns ``x``, copied into a work buffer.
+
+    :func:`fit` builds its Legendre rows in that buffer instead.
+    """
+    n, n_cols = x.shape
+    work = np.empty((n_cols + 2, n))
+    work[0] = 1.0
+    work[1:-1] = x.T
+    return _factorize_rows(work, y)
 
 
 def _check_order(n: int, k: int) -> None:
@@ -503,11 +499,11 @@ def fit_stats(y: np.ndarray, design: DesignMatrix, k: int) -> ModelFitStats:
     Returns
     -------
     ModelFitStats
-        With q0 = 1, qk = k + 1, and r2 and log(1 - r2) computed through a
-        QR factorization of the centered degree-1..k columns (exact Gram
-        matrix, no diagonal approximation); log(1 - r2) comes from the
-        exact residual, as in :func:`fit`, so noiseless data keep a finite
-        Bayes factor.
+        With q0 = 1, qk = k + 1, and r2 and log(1 - r2) from the QR of
+        [1 | degree-1..k columns | y_c / s] that :func:`fit` takes, whose
+        constant column does the centering (exact Gram matrix, no diagonal
+        approximation); log(1 - r2) comes from the exact residual, so
+        noiseless data keep a finite Bayes factor.
     """
     if design.basis != LEGENDRE:
         raise ValueError("fit statistics require a Legendre design")

@@ -4,10 +4,10 @@ The posterior over nested orders feeds one of two selection rules: the
 median probability model (largest degree whose marginal inclusion
 probability exceeds one half, the default) or the minimizer of a
 predictive squared-error loss whose model term weighs inclusion
-probabilities against per-model shrinkage.  One QR factorization of the
-centered Legendre design gives every nested r2, the full-model and the
-selected-order coefficients; at large n it is reduced by blocks of rows
-that fit in cache, so no full copy of the design is made.  A fit is its
+probabilities against per-model shrinkage.  The Legendre rows are built
+in one buffer with a spare row for the scaled response, and one QR of it,
+in place, gives every nested r2, the column means and sums of squares,
+and the full-model and selected-order coefficients.  A fit is its
 Legendre coefficients: ``predict`` evaluates them with the Legendre
 recurrence, and the Bernstein ordinates are derived from them only for
 reporting, with a bound on the rounding of that transform.
@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .basis import _ORDER_CAP, LEGENDRE, PredictorScale, _check_finite, build_design, max_order
-from .gprior import ModelPosterior, OmegaPrior, _factorize, _posterior_from_r2
+from .basis import _ORDER_CAP, LEGENDRE, PredictorScale, _check_finite, _check_unit, build_design
+from .basis import _legendre_rows, max_order
+from .gprior import ModelPosterior, OmegaPrior, _factorize_rows, _posterior_from_r2
 from .model_space import model_prior
 from .transform import TransformPair, build_transform, legendre_to_bernstein
 
@@ -187,8 +188,8 @@ def _prepare(x: np.ndarray, y: np.ndarray, config) -> tuple:
     """The input work shared by ``fit`` and ``fit_binary``.
 
     Coerces x and y to float vectors and checks their lengths, the sample
-    size and finiteness; returns them with the scale, the Legendre design
-    of the order bound and the order prior that ``config`` gives.
+    size and finiteness; returns them with the scale, x mapped and checked
+    into [0, 1], the order bound and the order prior that ``config`` gives.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
@@ -199,9 +200,9 @@ def _prepare(x: np.ndarray, y: np.ndarray, config) -> tuple:
     _check_finite(x, y)
     scale = config.scale or PredictorScale(float(x.min()), float(x.max()))
     n_max = _order_bound(x, config.cap)
-    design = build_design(x, scale, n_max, LEGENDRE)
+    u = _check_unit(scale.to_unit(x))
     prior = model_prior(n_max, config.prior_a, config.prior_b)
-    return x, y, scale, design, prior
+    return x, y, scale, u, n_max, prior
 
 
 def _shrunken_legendre(
@@ -329,12 +330,13 @@ def fit(
     if config is None:
         config = FitConfig()
     marks = [time.perf_counter()]
-    x, y, scale, design, prior = _prepare(x, y, config)
-    n, n_max = x.size, design.order
+    x, y, scale, u, n_max, prior = _prepare(x, y, config)
+    n = x.size
+    # Legendre rows 0..N and a spare row for y_c / s: the QR factorizes them in place.
+    work = _legendre_rows(u, n_max, spare=1)
     marks.append(time.perf_counter())
 
-    columns = design.values[:, 1:]
-    factor = _factorize(y, columns)
+    factor = _factorize_rows(work, y)
     r2, log1m_r2 = factor.r2(), factor.log1m_r2()
     marks.append(time.perf_counter())
 
@@ -342,14 +344,13 @@ def fit(
     marks.append(time.perf_counter())
 
     lambda_full = factor.coefficients(n_max)
-    dj = np.einsum("ij,ij->j", columns, columns)
     # The losses are quadratic in the coefficients.  Selecting on the
     # coefficients divided by 2^e > max|y - ybar| keeps them representable at
     # any response scale; the reported losses are scaled back by 4^e, which
     # is exact, and read inf or 0 where that leaves the float range.
     exp2 = int(np.frexp(factor.scale)[1])
     unit_full = np.ldexp(lambda_full, -exp2)
-    unit_losses = _losses(mp, dj, unit_full, shrunken=True)
+    unit_losses = _losses(mp, factor.col_ss, unit_full, shrunken=True)
     if config.rule == RULE_MPM:
         selected = median_probability_order(mp)
     else:
@@ -357,7 +358,7 @@ def fit(
     with np.errstate(over="ignore"):
         losses = np.ldexp(unit_losses, 2 * exp2)
         loss_equivalence = float(
-            np.ldexp(loss_equivalence_diagnostic(mp, dj / n, unit_full), 2 * exp2)
+            np.ldexp(loss_equivalence_diagnostic(mp, factor.col_ss / n, unit_full), 2 * exp2)
         )
     marks.append(time.perf_counter())
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,6 +106,12 @@ class Scenario:
     def mu(self) -> Callable[[np.ndarray], np.ndarray]:
         return self.mean if self.mean_fn == CUSTOM else _TAGGED[self.mean_fn][0]
 
+    @cached_property
+    def sigma(self) -> float:
+        """The noise level of :func:`sigma_from_snr`, computed on first use only."""
+        signal = self.mean if self.mean_fn == CUSTOM else self.mean_fn
+        return sigma_from_snr(signal, self.domain, self.snr)
+
 
 @dataclass(frozen=True)
 class SimulationRecord:
@@ -180,13 +187,8 @@ def generate(scenario: Scenario, rep: int) -> tuple[np.ndarray, np.ndarray]:
     a, b = scenario.domain
     x = rng.uniform(a, b, scenario.n)
     mu = np.asarray(scenario.mu(x), dtype=float)
-    sigma = sigma_from_snr(
-        scenario.mean_fn if scenario.mean_fn != CUSTOM else scenario.mean,
-        scenario.domain,
-        scenario.snr,
-    )
-    if sigma > 0:
-        y = mu + sigma * rng.standard_normal(scenario.n)
+    if scenario.sigma > 0:
+        y = mu + scenario.sigma * rng.standard_normal(scenario.n)
     else:
         y = mu.copy()
     return x, y

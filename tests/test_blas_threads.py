@@ -39,7 +39,7 @@ def show(result):
 
 if ONE_CORE:
     assert _available_cores() == 1
-for n in (3001, 5000, 12345, 20000) if ONE_CORE else (500, 3001, 5000, 12345, 20000):
+for n in (2049, 3001, 5000, 12345, 20000) if ONE_CORE else (500, 2049, 3001, 5000, 12345, 20000):
     show(ss.fit(*ss.generate(ss.Scenario("poly5", n, 2.0, 1, n), 0)))
 for rep in range(3):
     rng = np.random.default_rng([500, rep])
@@ -50,7 +50,7 @@ for rep in range(3):
 
 
 BINARY_CASES = ["binary-0", "binary-1", "binary-2"]
-BLOCKED_FIT_CASES = ["fit-n3001", "fit-n5000", "fit-n12345", "fit-n20000"]
+BLOCKED_FIT_CASES = ["fit-n2049", "fit-n3001", "fit-n5000", "fit-n12345", "fit-n20000"]
 ONE_CORE_CASES = BLOCKED_FIT_CASES + BINARY_CASES
 CASES = ["fit-n500"] + ONE_CORE_CASES
 

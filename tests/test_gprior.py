@@ -23,7 +23,7 @@ from oracles import (
     oracle_log_bf,
     oracle_shrinkage,
 )
-from smoothsel import gprior
+from smoothsel import gprior, selector
 from smoothsel.basis import PredictorScale, build_design
 from smoothsel.gprior import (
     _CHUNK,
@@ -246,16 +246,16 @@ def _spy_householder(monkeypatch):
     """Record the (columns, rows) shape of every block _householder_r reduces."""
     shapes = []
 
-    def spy(buf):
-        shapes.append(buf.shape)
-        return _householder_r(buf)
+    def spy(buf, first, rows, out):
+        shapes.append((buf.shape[0], rows))
+        return _householder_r(buf, first, rows, out)
 
     monkeypatch.setattr(gprior, "_householder_r", spy)
     return shapes
 
 
 class TestBlockedFactorization:
-    """The QR of [x_c | y_c / s] by blocks of rows against one plain QR."""
+    """The QR of [1 | x | y_c / s] by blocks of rows against one plain QR of [x_c | y_c / s]."""
 
     def check_against_plain_qr(self, n, n_cols, seed):
         rng = np.random.default_rng(seed)
@@ -286,23 +286,24 @@ class TestBlockedFactorization:
         assert all(rows <= _CHUNK for _, rows in shapes)
 
     def test_wide_design_keeps_every_block_tall(self, monkeypatch):
-        # N + 1 > _CHUNK / 4: blocks of max(_CHUNK, 4 (N + 1)) rows at most.
+        # N + 2 > _CHUNK / 4: blocks of max(_CHUNK, 4 (N + 2)) rows at most.
         shapes = _spy_householder(monkeypatch)
         n_cols = _CHUNK // 4 + 7
-        self.check_against_plain_qr(4 * (n_cols + 1) + 1, n_cols, seed=1)
-        # Two blocks of 2 (N + 1) and 2 (N + 1) + 1 rows, in the order two
+        width = n_cols + 2
+        self.check_against_plain_qr(4 * width + 1, n_cols, seed=1)
+        # Two blocks of 2 (N + 2) and 2 (N + 2) + 1 rows, in the order two
         # threads reach them, then their stacked R's.
-        width = n_cols + 1
         rows = [rows for _, rows in shapes]
         assert sorted(rows[:2]) == [2 * width, 2 * width + 1] and rows[2:] == [2 * width]
         assert all(rows > cols for cols, rows in shapes)
 
     def test_stacked_factors_are_reduced_by_blocks_again(self, monkeypatch):
         # With a small block height the stacked R's outgrow one block too:
-        # 9 blocks, then 3 blocks of their 279 stacked rows, then one.
+        # 31 columns [1 | x | y_c / s] in 9 blocks, then 3 blocks of their
+        # 279 stacked rows, then one.
         monkeypatch.setattr(gprior, "_CHUNK", 64)
         shapes = _spy_householder(monkeypatch)
-        self.check_against_plain_qr(1000, 30, seed=2)
+        self.check_against_plain_qr(1000, 29, seed=2)
         assert [rows for _, rows in shapes[9:]] == [93, 93, 93, 93]
         assert all(rows >= 2 * cols for cols, rows in shapes)
 
@@ -313,18 +314,28 @@ class TestBlockedFactorization:
         y = np.sin(5.0 * x[:, 0]) + rng.standard_normal(n)
         shapes = _spy_householder(monkeypatch)
         factor = _factorize(y, x)
-        assert shapes == [(10, n)]
-        # The single-buffer factorization, written out.
+        assert shapes == [(11, n)]
+        # The single-buffer factorization, written out: the rows [1; x'; y_c / s]
+        # of one buffer, and every statistic read from its R.
         yc = y - y.mean()
-        buf = np.empty((10, n))
-        np.subtract(x, x.mean(axis=0), out=buf.T[:, :9])
-        np.divide(yc, np.max(np.abs(yc)), out=buf.T[:, 9])
-        ssy = float(buf.T[:, 9] @ buf.T[:, 9])
-        r = _householder_r(buf)
-        np.testing.assert_array_equal(factor.r, r[:9, :9])
-        np.testing.assert_array_equal(factor.z, r[:9, 9])
-        assert factor.rho2 == float(r[9, 9] ** 2)
+        buf = np.empty((11, n))
+        buf[0] = 1.0
+        buf[1:10] = x.T
+        np.divide(yc, np.max(np.abs(yc)), out=buf[10])
+        ssy = float(np.einsum("i,i->", buf[10], buf[10]))
+        r = np.empty((11, 11))
+        _householder_r(buf, 0, n, r)
+        means = r[0, 1:10] / r[0, 0]
+        np.testing.assert_array_equal(factor.col_means, means)
+        np.testing.assert_array_equal(factor.r, r[1:10, 1:10])
+        np.testing.assert_array_equal(factor.z, r[1:10, 10])
+        assert factor.rho2 == float(r[10, 10] ** 2)
         assert factor.ssy == ssy
+        np.testing.assert_array_equal(
+            factor.col_ss, n * means**2 + np.einsum("ij,ij->j", r[1:10, 1:10], r[1:10, 1:10])
+        )
+        np.testing.assert_allclose(factor.col_means, x.mean(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(factor.col_ss, np.sum(x**2, axis=0), rtol=1e-13)
 
     @pytest.mark.parametrize("width", [2, 7, 8, 9, 16, 63])
     @pytest.mark.parametrize("tall", [False, True])
@@ -335,7 +346,8 @@ class TestBlockedFactorization:
         a = np.random.default_rng([width, n]).standard_normal((n, width))
         ref = np.linalg.qr(a, mode="r")
         buf = np.ascontiguousarray(a.T)
-        r = _householder_r(buf)
+        r = np.full((width, width), np.nan)
+        _householder_r(buf, 0, n, r)
         signs = np.sign(np.diag(r))[:, None]
         np.testing.assert_allclose(
             r * signs, ref * np.sign(np.diag(ref))[:, None], rtol=0,
@@ -347,22 +359,32 @@ class TestBlockedFactorization:
     @pytest.mark.parametrize("width", [2, 7, 8, 9, 16, 63])
     @pytest.mark.parametrize("tall", [False, True])
     def test_dgeqrt_matches_scipy_f2py(self, width, tall):
-        # The ctypes call through cython_lapack's capsule against scipy's
-        # f2py wrapper of the same routine: a and T bit for bit.
+        # The ctypes call through cython_lapack's capsule, on a block of rows
+        # in the middle of a taller buffer (an offset and LDA = its height),
+        # against scipy's f2py wrapper of the same routine on a copy of the
+        # block: a and T bit for bit, and the rows around it untouched.
         n = _CHUNK if tall else 2 * width
-        buf = np.random.default_rng([width, n, 1]).standard_normal((width, n))
-        ref = buf.copy()
-        want_a, want_t, info = f2py_dgeqrt(min(_PANEL, width), ref.T, overwrite_a=1)
+        first, total = 5, n + 12
+        buf = np.random.default_rng([width, n, 1]).standard_normal((width, total))
+        before = buf.copy()
+        ref = np.asfortranarray(buf.T[first : first + n])
+        want_a, want_t, info = f2py_dgeqrt(min(_PANEL, width), ref, overwrite_a=1)
         assert info == 0
-        t = _dgeqrt(min(_PANEL, width), buf)
-        np.testing.assert_array_equal(buf.T, want_a)
+        t = _dgeqrt(min(_PANEL, width), buf, first, n)
+        np.testing.assert_array_equal(buf.T[first : first + n], want_a)
         np.testing.assert_array_equal(t, want_t)
+        np.testing.assert_array_equal(buf[:, :first], before[:, :first])
+        np.testing.assert_array_equal(buf[:, first + n :], before[:, first + n :])
 
     def test_dgeqrt_rejects_a_buffer_it_cannot_take_in_place(self):
         with pytest.raises(ValueError, match="Fortran-ordered"):
-            _dgeqrt(2, np.ones((4, 3)).T)
+            _dgeqrt(2, np.ones((4, 3)).T, 0, 4)
         with pytest.raises(ValueError, match="Fortran-ordered"):
-            _dgeqrt(2, np.ones((3, 4), dtype=np.float32))
+            _dgeqrt(2, np.ones((3, 4), dtype=np.float32), 0, 4)
+        # Fewer rows than columns, and row ranges outside the buffer.
+        for first, rows in [(0, 2), (8, 3), (-1, 4), (0, 11)]:
+            with pytest.raises(ValueError, match="no block of 3 columns"):
+                _dgeqrt(2, np.ones((3, 10)), first, rows)
 
     @pytest.mark.parametrize("n", [3001, 12345, 20000])
     def test_identical_at_any_core_count(self, n, monkeypatch):
@@ -429,6 +451,56 @@ class TestBlockedFactorization:
         design = build_design(x, result.scale, result.max_order, "legendre")
         assert np.all(np.isfinite(_factorize(y, design.values[:, 1:]).log1m_r2()))
         assert result.selected_order == 5
+
+    @staticmethod
+    def spy_fit(monkeypatch):
+        """Record the Legendre buffer ``fit`` builds and the factorization it reads from it."""
+        seen = {}
+
+        def rows(*args, **kwargs):
+            seen["work"] = selector_rows(*args, **kwargs)
+            return seen["work"]
+
+        def factorize(work, y):
+            seen["factor"] = selector_factorize(work, y)
+            return seen["factor"]
+
+        selector_rows, selector_factorize = selector._legendre_rows, selector._factorize_rows
+        monkeypatch.setattr(selector, "_legendre_rows", rows)
+        monkeypatch.setattr(selector, "_factorize_rows", factorize)
+        return seen
+
+    @pytest.mark.parametrize("n", [500, _CHUNK + 1, 20000])
+    def test_fit_buffer_matches_the_generic_factorization(self, n, monkeypatch):
+        # fit's Legendre rows, built in the buffer the QR takes, and the
+        # columns of a separately built design copied into one.
+        seen = self.spy_fit(monkeypatch)
+        x, y = generate(Scenario("pwlinear", n, 2.0, 1, 4), 0)
+        result = fit(x, y)
+        design = build_design(x, result.scale, result.max_order, "legendre")
+        generic = _factorize(y, design.values[:, 1:])
+        assert seen["work"].shape == (result.max_order + 2, n)
+        for got, want in zip(seen["factor"], generic, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_fit_never_copies_the_design(self, monkeypatch):
+        # Every first-level block dgeqrt reduces lies in the buffer fit built
+        # its Legendre rows in; the stacked R's lie elsewhere.
+        seen = self.spy_fit(monkeypatch)
+        blocks = []
+
+        def spy(panel, buf, first, rows):
+            blocks.append(buf.T[first : first + rows])
+            return dgeqrt(panel, buf, first, rows)
+
+        dgeqrt = gprior._dgeqrt
+        monkeypatch.setattr(gprior, "_dgeqrt", spy)
+        fit(*generate(Scenario("poly5", 20000, 2.0, 1, 3), 0))
+        work = seen["work"]
+        # Ten blocks of 2000 rows, then their 620 stacked rows.
+        assert [block.shape for block in blocks] == [(2000, 62)] * 10 + [(620, 62)]
+        assert all(np.shares_memory(block, work) for block in blocks[:10])
+        assert not np.shares_memory(blocks[10], work)
 
 
 class TestShare:

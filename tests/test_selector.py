@@ -11,7 +11,7 @@ import pytest
 
 from smoothsel.basis import _ORDER_CAP, PredictorScale, build_design, max_order
 from smoothsel.binary import BinaryFitConfig, fit_binary
-from smoothsel.gprior import ModelPosterior, OmegaPrior, _available_cores
+from smoothsel.gprior import ModelPosterior, OmegaPrior, _available_cores, _factorize
 from smoothsel.selector import (
     _MIN_SAMPLE,
     FitConfig,
@@ -333,8 +333,9 @@ class TestFit:
             shrunken_inclusion=diag["shrunken_inclusion"],
             r2=diag["r2"],
         )
+        # d_j, the column sums of squares, from the fit's own factorization.
         columns = build_design(x, result.scale, result.max_order, "legendre").values[:, 1:]
-        dj = np.einsum("ij,ij->j", columns, columns)
+        dj = _factorize(y, columns).col_ss
         lam = diag["lambda_full"]
         np.testing.assert_array_equal(diag["loss"], loop_losses(mp, dj, lam, True))
         assert diag["loss_equivalence"] == loop_loss_equivalence(mp, dj / x.size, lam)

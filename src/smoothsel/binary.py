@@ -95,7 +95,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import block_diag
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .basis import _ORDER_CAP, LEGENDRE, DesignMatrix, PredictorScale, _legendre_rows
@@ -586,7 +585,9 @@ def _rule(dim: int, level: int, sparse: bool) -> tuple[np.ndarray, np.ndarray]:
 def _rule_pair(dim: int, level: int, sparse: bool) -> tuple[np.ndarray, np.ndarray]:
     """The nodes of :func:`_rule` at ``level`` and one below, and both weight rows."""
     (fine, fine_w), (coarse, coarse_w) = _rule(dim, level, sparse), _rule(dim, level - 1, sparse)
-    nodes, weights = _merge(np.concatenate([fine, coarse]), block_diag(fine_w, coarse_w).T)
+    weights = np.zeros((len(fine_w) + len(coarse_w), 2))
+    weights[: len(fine_w), 0], weights[len(fine_w) :, 1] = fine_w, coarse_w
+    nodes, weights = _merge(np.concatenate([fine, coarse]), weights)
     return nodes, weights.T
 
 

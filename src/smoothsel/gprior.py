@@ -12,7 +12,8 @@ holds the design's rows.  Above ``_CHUNK`` rows it runs over cache-sized
 blocks of those rows, and the blocks' triangular factors are stacked and
 reduced to one (a tall-skinny QR).  Every block is one LAPACK dgeqrt call,
 a Householder QR by compact-WY panels of ``_PANEL`` columns, whose R was
-bit-identical at 1 and 2 BLAS threads.  The call releases the GIL, so the
+bit-identical at 1 and 2 BLAS threads; scipy.linalg, which exports it,
+is imported on the first QR.  The call releases the GIL, so the
 blocks run on the calling thread and a pool of one worker per core but
 one; no result depends on the core count.  Each Bayes factor
 against the intercept-only base model is a one-dimensional integral over
@@ -38,7 +39,6 @@ from math import lgamma
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_triangular
 from scipy.special import expit
 
 from .basis import LEGENDRE, DesignMatrix, _check_finite
@@ -269,6 +269,7 @@ class _Factorization(NamedTuple):
 
     def coefficients(self, k: int) -> np.ndarray:
         """Least-squares coefficients of degrees 1..k of the order-k model."""
+        from scipy.linalg import solve_triangular  # loaded on first use, as in _lapack_dgeqrt
         return solve_triangular(self.r[:k, :k], self.z[:k]) * self.scale
 
 
@@ -321,22 +322,24 @@ _CHUNK = 2048
 _PANEL = 8
 
 
-def _capsule_pointer(capsule: object) -> int:
-    """Address of the C function in a capsule of a Cython module's ``__pyx_capi__``."""
-    api = ctypes.pythonapi
+_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# LAPACK dgeqrt(M, N, NB, A, LDA, T, LDT, WORK, INFO), every argument by
+# reference.  A CFUNCTYPE call releases the GIL for its duration.
+_DGEQRT = ctypes.CFUNCTYPE(
+    None, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P
+)
+
+
+@lru_cache(maxsize=None)
+def _lapack_dgeqrt() -> Callable[..., None]:
+    """dgeqrt from its capsule in scipy's ``cython_lapack``, loaded on the first QR."""
+    from scipy.linalg import cython_lapack
+    capsule, api = cython_lapack.__pyx_capi__["dgeqrt"], ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    return pointer(capsule, name(capsule))
-
-
-_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# LAPACK dgeqrt(M, N, NB, A, LDA, T, LDT, WORK, INFO), every argument by
-# reference.  A CFUNCTYPE call releases the GIL for its duration.
-_LAPACK_DGEQRT = ctypes.CFUNCTYPE(
-    None, _INT_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P
-)(_capsule_pointer(cython_lapack.__pyx_capi__["dgeqrt"]))
+    return _DGEQRT(pointer(capsule, name(capsule)))
 
 
 def _dgeqrt(panel: int, buf: np.ndarray, first: int, rows: int) -> np.ndarray:
@@ -356,7 +359,7 @@ def _dgeqrt(panel: int, buf: np.ndarray, first: int, rows: int) -> np.ndarray:
     t, work = np.zeros((n_cols, panel)), np.empty(n_cols * panel)
     a = ctypes.c_double.from_buffer(buf, first * buf.itemsize)
     t_first, work_first = (ctypes.c_double.from_buffer(v) for v in (t, work))
-    _LAPACK_DGEQRT(m, cols, nb, a, lda, t_first, nb, work_first, info)  # LDT = NB
+    _lapack_dgeqrt()(m, cols, nb, a, lda, t_first, nb, work_first, info)  # LDT = NB
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info.value}")
     return t.T
@@ -376,8 +379,8 @@ def _householder_r(buf: np.ndarray, first: int, rows: int, out: np.ndarray) -> n
     (Elmroth & Gustavson 2000, IBM J. Res. Dev. 44:605), each applied to the
     columns right of it as one block reflector (Schreiber & Van Loan 1989,
     SIAM J. Sci. Stat. Comput. 10:53).  :func:`_dgeqrt` calls it through
-    the capsule of scipy's ``cython_lapack``, which releases the GIL (scipy's
-    f2py ``dgeqrt`` holds it), so blocks run in parallel (``CHANGES.md``).
+    scipy's ``cython_lapack`` capsule, resolved on the first QR; that call
+    releases the GIL (f2py's ``dgeqrt`` holds it), so blocks run in parallel.
     """
     width = buf.shape[0]
     _dgeqrt(min(_PANEL, width), buf, first, rows)
@@ -414,6 +417,7 @@ def _blocked_r(buf: np.ndarray) -> np.ndarray:
         lo, hi = int(bounds[b]), int(bounds[b + 1])
         _householder_r(buf, lo, hi - lo, stack.T[b * width : (b + 1) * width])
 
+    _lapack_dgeqrt()  # resolved here, so no worker thread imports scipy.linalg
     with _thread_pool() as pool:
         _share(pool, n_blocks, reduce_block)
     return _blocked_r(stack)
@@ -604,18 +608,20 @@ def _batched_bf(
     log1m_r2 = np.asarray(log1m_r2, dtype=float)
     log_n_s = np.log(n / (qk + 1.0))
 
-    def log_f(v: np.ndarray) -> np.ndarray:
-        log_g = log_n_s - omega_prior.log_omega(v)
+    def log_f(v: np.ndarray, log_g: np.ndarray | None = None) -> np.ndarray:
+        if log_g is None:  # log g = log(n / (omega (qk + 1)))
+            log_g = log_n_s - omega_prior.log_omega(v)
         return _log_kernel(log_g, n, q0, qk, log1m_r2) + omega_prior.log_weight(v)
 
     centre, scale = _peak(log_f, log1m_r2)
     v, log_weights = _sinh_rule(centre, scale)
-    log_terms = log_f(v) + log_weights
+    log_g = log_n_s - omega_prior.log_omega(v)  # once, for the integrands and the factor
+    log_terms = log_f(v, log_g) + log_weights
     top = log_terms.max(axis=0)
     terms = np.exp(log_terms - top)
     total = terms.sum(axis=0)
     # n / (n + omega (qk + 1)) = g / (1 + g).
-    factor = expit(log_n_s - omega_prior.log_omega(v))
+    factor = expit(log_g)
     xi = (terms * factor).sum(axis=0) / total
     return top + np.log(total), np.minimum(xi, 1.0), centre, scale
 

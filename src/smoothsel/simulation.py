@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basis import BERNSTEIN, LEGENDRE, PredictorScale, build_design
 from .cv import cv_select
@@ -135,7 +134,7 @@ def sigma_from_snr(
     domain: tuple[float, float],
     snr: float,
 ) -> float:
-    """Noise level sigma = (mean absolute signal) / snr.
+    """Noise level sigma = (mean absolute signal) / snr; the first call loads scipy.integrate.
 
     Parameters
     ----------
@@ -165,6 +164,7 @@ def sigma_from_snr(
         points = [t for t in kinks if a < t < b]
     else:
         fn, points = mean_fn, None
+    from scipy.integrate import quad  # not at import: it pulls in scipy.optimize
     total, _ = quad(lambda t: abs(float(fn(t))), a, b, points=points, limit=200)
     mean_abs = total / (b - a)
     if mean_abs <= 0:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 from scipy.special import log_ndtr, logsumexp, ndtr
 from scipy.stats import multivariate_normal
@@ -22,12 +23,14 @@ from smoothsel.basis import PredictorScale, build_design
 from smoothsel.binary import (
     _FULL_DRAW_MASS,
     _GRID_DIM,
+    _GRID_NODES,
     _LAMBDA_BOX,
     _LAPLACE_SLACK,
     _MIN_DRAWS,
     _SCREEN_TOL,
     _SEPARATION_LIMIT,
     _SPARSE_DIM,
+    _SPARSE_LEVEL,
     BinaryFitConfig,
     OrthantSpec,
     _g_prior,
@@ -38,9 +41,11 @@ from smoothsel.binary import (
     _log_orthant_mass,
     _laplace_log_num,
     _mc_log_num,
+    _merge,
     _newton_mode,
     _order_modes,
     _rule,
+    _rule_pair,
     _signed_design,
     binary_log_bf,
     fit_binary,
@@ -970,6 +975,18 @@ class TestSparseGrid:
         est = binary_log_bf(y, build_design(x, UNIT, 44, "legendre"), 4, n_draws=draws, seed=0)
         assert (est.log_bf, est.mc_std_error, est.n_draws) == (
             diag["log_bf"][4], diag["mc_std_error"][4], draws)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_weight_rows_match_block_diag(dim):
+    # The two weight rows are built with numpy, so scipy.linalg need not
+    # load; they equal the block-diagonal construction bit for bit.
+    sparse = dim > _GRID_DIM
+    level = _SPARSE_LEVEL if sparse else (_GRID_NODES + 1) // 2
+    (fine, fine_w), (coarse, coarse_w) = (_rule(dim, l, sparse) for l in (level, level - 1))
+    nodes, weights = _merge(np.concatenate([fine, coarse]), block_diag(fine_w, coarse_w).T)
+    for got, want in zip(_rule_pair(dim, level, sparse), (nodes, weights.T)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def fit_with_full_monte_carlo(x, y, scale, seed):

@@ -107,7 +107,7 @@ from .gprior import (
     _sinh_rule,
     _thread_pool,
 )
-from .selector import FitResult, _bernstein_view, _mpm_order, _prepare
+from .selector import FitResult, _fit_result, _mpm_order, _prepare
 from .transform import build_transform
 
 # The fewest draws in one part of a split orthant-mass kernel call.
@@ -716,40 +716,29 @@ def fit_binary(
         both 0.0 for order 0 and where screened, ``mc_n_draws`` (0 for
         order 0, gridded orders and where screened), and
         ``newton_iterations`` and ``newton_converged`` of each order's mode
-        (0 and True for order 0).  Per degree: ``inclusion_se``, the
-        delta-method standard error of each inclusion probability from the
-        orders' ``mc_std_error``.  Per fit: ``mpm_margin_flag``, True when
-        some inclusion probability lies within 2 ``inclusion_se`` of 0.5,
-        so that the orders' errors could move the selection; ``screened_mass``, the
+        (0 and True for order 0).  Per fit: ``screened_mass``, the
         posterior mass of the screened orders; ``screened_bound``, e^c
         times their Laplace mass over that of the other orders (at most
-        1e-6, 0.0 when none is screened); the Newton count and flag of the
-        base level (``base_newton_*``) and of the refit (``refit_newton_*``);
-        the Bernstein error bound; and ``stages``, the seconds spent in
-        ``design`` (with the input checks), ``laplace`` (the chain of modes
-        and Laplace values, the base integral and the deterministic rule),
-        ``monte_carlo`` (the screening loop and the selection) and
-        ``refit``, which sum to ``timing_seconds``.
+        1e-6, 0.0 when none is screened); and the Newton count and flag of
+        the base level (``base_newton_*``) and of the refit
+        (``refit_newton_*``).  The stages are ``design`` (with the input
+        checks), ``laplace`` (the chain of modes and Laplace values, the
+        base integral and the deterministic rule), ``monte_carlo`` (the
+        screening loop and the selection) and ``refit``.  The keys both
+        fits share are described by :class:`FitResult`.
 
     Notes
     -----
-    Order k is the g-prior w ~ N(0, (2n/(k+1)) I) on the first k
-    orthonormalized degree columns.  Every order is scored by its Laplace
-    log Bayes factor first, and orders 1-6 by the deterministic rule.
-    Monte Carlo then runs for the screened order of highest log posterior,
-    one at a time, until ``screened_bound`` is at most 1e-6, with the slack
-    c = 4.5 nats covering the Laplace under-estimate.  If every screened
-    order's Laplace log Bayes factor is at most c below its Monte Carlo
-    value, no posterior probability differs from the all-Monte Carlo one by
-    more than e^c ``screened_mass``.  A visited order draws points of one
-    (k + 1)-dimensional t proposal around its mode, from the stream keyed
-    by (seed, k): ``mc_draws`` of them if its posterior share is at least
-    1e-3 when visited or at the end, and 1000 otherwise.  So a kept order's
-    ``log_bf``, ``mc_std_error`` and Newton count equal those of
+    The module docstring gives the model, the rules, the screening, the
+    draw rule and the fit's one thread pool, closed before the refit.  If
+    every screened order's Laplace log Bayes factor is at most c = 4.5
+    nats below its Monte Carlo value, no posterior probability differs
+    from the all-Monte Carlo one by more than e^c ``screened_mass``.  A
+    visited order draws from the stream keyed by (seed, k), so a kept
+    order's ``log_bf``, ``mc_std_error`` and Newton count equal those of
     ``binary_log_bf`` at its own draw count on the fit's own design,
-    whatever order the orders are visited in.  The module docstring
-    describes the fit's one thread pool, closed before the refit, under
-    which results are identical at any core and BLAS thread count.
+    whatever order the orders are visited in, and results are identical
+    at any core and BLAS thread count.
     """
     if config is None:
         config = BinaryFitConfig()
@@ -804,7 +793,7 @@ def fit_binary(
                 log_bound = _LAPLACE_SLACK + _logsumexp(log_post[screened]) - _logsumexp(
                     log_post[~screened]
                 )
-            full = np.exp(log_post - _logsumexp(log_post)) >= _FULL_DRAW_MASS
+            full = _normalized_posterior(log_post, mc_se).posterior >= _FULL_DRAW_MASS
             if log_bound > np.log(_SCREEN_TOL):
                 pick = screened
             else:
@@ -819,11 +808,8 @@ def fit_binary(
             log_bf[k] = log_num - log_den
             log_post[k] = log_bf[k] + prior.log_probs[k]
             screened[k] = False
-    posterior, inclusion = _normalized_posterior(log_post)
-    # Delta method: d inclusion_j / d log_post_k = p_k (1[k >= j] - inclusion_j).
-    tail = np.arange(n_max + 1) >= np.arange(1, n_max + 1)[:, None]
-    inclusion_se = np.sqrt((((tail - inclusion[:, None]) * posterior * mc_se) ** 2).sum(axis=1))
-    selected = _mpm_order(inclusion)
+    sel = _normalized_posterior(log_post, mc_se)
+    selected = _mpm_order(sel.inclusion)
     marks.append(time.perf_counter())
 
     pair = build_transform(selected)
@@ -846,37 +832,19 @@ def fit_binary(
         refit = refit_with(ridge)
         if not refit.converged:
             raise RuntimeError("probit refit failed even with ridge stabilization")
-    lambda_hat = refit.theta
-    eta_hat, eta_bound = _bernstein_view(lambda_hat, pair)
-    marks.append(time.perf_counter())
-    stages = dict(zip(("design", "laplace", "monte_carlo", "refit"), np.diff(marks).tolist()))
-
-    return FitResult(
-        selected_order=selected,
-        max_order=n_max,
-        posterior=posterior,
-        lambda_hat=lambda_hat,
-        eta_hat=eta_hat,
-        shrinkage=np.ones(n_max + 1),
-        scale=scale,
-        rule="mpm",
-        omega_prior=None,
-        timing_seconds=marks[-1] - marks[0],
-        link="probit",
-        diagnostics={
+    return _fit_result(
+        refit.theta, pair, marks, ("design", "laplace", "monte_carlo", "refit"), sel,
+        {
             "log_bf": log_bf,
             "mc_std_error": mc_se,
             "mc_ess": mc_ess,
             "mc_n_draws": n_draws.tolist(),
             "grid_nodes": grid_nodes,
-            "inclusion": inclusion,
-            "inclusion_se": inclusion_se,
-            "mpm_margin_flag": bool(np.any(np.abs(inclusion - 0.5) <= 2.0 * inclusion_se)),
             "mc_draws": config.mc_draws,
             "seed": config.seed,
             "laplace_log_bf": laplace_log_bf,
             "screened": screened.tolist(),
-            "screened_mass": float(posterior[screened].sum()),
+            "screened_mass": float(sel.posterior[screened].sum()),
             "screened_bound": float(np.exp(log_bound)),
             "newton_iterations": [0] + [m.iterations for m in modes[1:]],
             "newton_converged": [True] + [m.converged for m in modes[1:]],
@@ -884,7 +852,6 @@ def fit_binary(
             "base_newton_converged": modes[0].converged,
             "refit_newton_iterations": refit.iterations,
             "refit_newton_converged": refit.converged,
-            "bernstein_error_bound": eta_bound,
-            "stages": stages,
         },
+        shrinkage=np.ones(n_max + 1), scale=scale, rule="mpm", omega_prior=None, link="probit",
     )

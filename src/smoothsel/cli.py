@@ -56,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--output", default=None, help="result JSON path (default: stdout)")
     p_fit.add_argument("--curve", default=None, help="curve CSV path (default: derived from --output)")
     p_fit.add_argument("--grid-size", type=_positive_int, default=201, help="curve grid resolution")
-    p_fit.add_argument("--omega-prior", choices=_OMEGA_NAMES, default="intrinsic")
-    p_fit.add_argument("--rule", choices=(RULE_MPM, RULE_LOSS), default=RULE_MPM)
+    p_fit.add_argument("--omega-prior", choices=_OMEGA_NAMES, default=None)
+    p_fit.add_argument("--rule", choices=(RULE_MPM, RULE_LOSS), default=None)
     p_fit.add_argument("--prior-a", type=float, default=1.0, help="model prior Beta a")
     p_fit.add_argument("--prior-b", type=float, default=1.0, help="model prior Beta b")
     p_fit.add_argument("--cap", type=_positive_int, default=_ORDER_CAP,
@@ -140,26 +140,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if len(args.scale) != 2:
             raise ValueError(f"--scale needs exactly two numbers, got {args.scale}")
         scale = PredictorScale(args.scale[0], args.scale[1])
+    shared = dict(prior_a=args.prior_a, prior_b=args.prior_b, cap=args.cap, scale=scale)
     if args.binary:
-        config = BinaryFitConfig(
-            prior_a=args.prior_a,
-            prior_b=args.prior_b,
-            cap=args.cap,
-            mc_draws=args.mc_draws,
-            seed=args.seed,
-            scale=scale,
-        )
-        result = fit_binary(x, y, config)
+        for flag in ("--rule", "--omega-prior"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} does not apply to --binary fits")
+        result = fit_binary(x, y, BinaryFitConfig(mc_draws=args.mc_draws, seed=args.seed, **shared))
     else:
-        config = FitConfig(
-            omega_prior=OmegaPrior.from_name(args.omega_prior),
-            prior_a=args.prior_a,
-            prior_b=args.prior_b,
-            rule=args.rule,
-            cap=args.cap,
-            scale=scale,
-        )
-        result = fit(x, y, config)
+        omega_prior = OmegaPrior.from_name(args.omega_prior or INTRINSIC)
+        result = fit(x, y, FitConfig(omega_prior=omega_prior, rule=args.rule or RULE_MPM, **shared))
 
     if args.output:
         result.save(args.output)

@@ -20,8 +20,8 @@ against the intercept-only base model is a one-dimensional integral over
 v = log omega (logit omega for the arcsine law), where every integrand is
 smooth with exponential tails.  One fixed rule per order evaluates it in
 log space: a sinh-spaced trapezoid rule centred on the integrand's peak
-and scaled by its curvature there, with no refinement loop; the centre
-and scale of every order's rule are reported.  Posterior
+and scaled by its curvature there, with no refinement loop; the centre,
+scale and error estimate of every order's rule are reported.  Posterior
 shrinkage factors reuse the same nodes, so every model's shrinkage is a
 ratio of two quadratures over identical nodes.
 """
@@ -595,14 +595,16 @@ def _batched_bf(
     qk: np.ndarray,
     log1m_r2: np.ndarray,
     omega_prior: OmegaPrior,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Log Bayes factors and shrinkage factors for a batch of models.
 
-    Returns (log_bf, xi, centre, scale) where xi[k] = E[n / (n + omega
-    (qk + 1)) | y, model k], the posterior expectation computed over the
-    same nodes as the Bayes factor integral (a ratio of two quadratures
-    sharing nodes), and centre and scale place each model's rule in v
-    (see :func:`_peak`).
+    Returns (log_bf, xi, centre, scale, log_bf_error) where xi[k] = E[n /
+    (n + omega (qk + 1)) | y, model k], the posterior expectation computed
+    over the same nodes as the Bayes factor integral (a ratio of two
+    quadratures sharing nodes), centre and scale place each model's rule
+    in v (see :func:`_peak`), and log_bf_error = |log T_h - log T_2h| is
+    the change from the rule's nodes at even multiples of the step, which
+    form the same rule at twice the step.
     """
     qk = np.asarray(qk, dtype=float)
     log1m_r2 = np.asarray(log1m_r2, dtype=float)
@@ -623,7 +625,8 @@ def _batched_bf(
     # n / (n + omega (qk + 1)) = g / (1 + g).
     factor = expit(log_g)
     xi = (terms * factor).sum(axis=0) / total
-    return top + np.log(total), np.minimum(xi, 1.0), centre, scale
+    log_bf_error = np.abs(np.log(2.0 * terms[1::2].sum(axis=0) / total))
+    return top + np.log(total), np.minimum(xi, 1.0), centre, scale, log_bf_error
 
 
 # ============================================================
@@ -645,7 +648,7 @@ def _one_model(stats: ModelFitStats, omega_prior: OmegaPrior) -> tuple[float, fl
     """Log Bayes factor and shrinkage of one model; the base model has r2 = 0."""
     log1m_r2 = 0.0 if stats.qk == stats.q0 else stats.log1m_r2
     _reject_zero_residual([stats.qk - stats.q0], [stats.r2], [log1m_r2])
-    log_bf, xi, _, _ = _batched_bf(stats.n, stats.q0, [stats.qk], [log1m_r2], omega_prior)
+    log_bf, xi, *_ = _batched_bf(stats.n, stats.q0, [stats.qk], [log1m_r2], omega_prior)
     return float(log_bf[0]), float(xi[0])
 
 
@@ -704,6 +707,9 @@ class ModelPosterior:
         (N + 1,) centre and scale in v of each order's quadrature rule
         (nodes at centre + scale sinh(z)); None for a posterior not built
         by the quadrature.
+    log_bf_error, inclusion_se, mpm_margin_flag : np.ndarray, np.ndarray, bool or None
+        As in :class:`smoothsel.selector.FitResult`'s diagnostics; None
+        for a posterior not built by the quadrature.
     """
 
     max_order: int
@@ -716,6 +722,9 @@ class ModelPosterior:
     r2: np.ndarray
     quadrature_centre: np.ndarray | None = None
     quadrature_scale: np.ndarray | None = None
+    log_bf_error: np.ndarray | None = None
+    inclusion_se: np.ndarray | None = None
+    mpm_margin_flag: bool | None = None
 
 
 def model_posterior(
@@ -778,17 +787,32 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(top + np.log1p(terms.sum()))
 
 
-def _normalized_posterior(log_post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior over orders 0..N from unnormalized log masses, and inclusion.
+class _Selection(NamedTuple):
+    """The posterior over orders and the error budget of its selection."""
+
+    posterior: np.ndarray
+    inclusion: np.ndarray
+    inclusion_se: np.ndarray
+    mpm_margin_flag: bool
+
+
+def _normalized_posterior(log_post: np.ndarray, log_error: np.ndarray) -> _Selection:
+    """Posterior over orders 0..N from unnormalized log masses, and its selection.
 
     inclusion[j - 1] is the posterior probability that degree j is in the
-    model.
+    model.  ``log_error`` holds each order's error in log mass, which
+    gives ``inclusion_se`` and ``mpm_margin_flag`` as
+    :class:`smoothsel.selector.FitResult` describes them.
     """
     posterior = np.exp(log_post - _logsumexp(log_post))
     posterior /= posterior.sum()
     # Degree j belongs to every model of order >= j: tail sums.
-    tail = np.cumsum(posterior[::-1])[::-1]
-    return posterior, tail[1:].copy()
+    member = np.arange(posterior.size) >= np.arange(1, posterior.size)[:, None]
+    inclusion = np.cumsum(posterior[::-1])[::-1][1:].copy()
+    # Delta method: d inclusion_j / d log_post_k = p_k (1[k >= j] - inclusion_j).
+    inclusion_se = np.sqrt((((member - inclusion[:, None]) * posterior * log_error) ** 2).sum(axis=1))
+    margin_flag = bool(np.any(np.abs(inclusion - 0.5) <= 2.0 * inclusion_se))
+    return _Selection(posterior, inclusion, inclusion_se, margin_flag)
 
 
 def _posterior_from_r2(
@@ -808,20 +832,20 @@ def _posterior_from_r2(
     _reject_zero_residual(ks, r2, log1m_r2)
     # The base model (q0 = 1 parameter) rides along with a unit kernel so
     # its shrinkage factor comes from the same node set as everyone else's.
-    log_bf, xi, centre, scale = _batched_bf(n, 1, ks + 1, log1m_r2, omega_prior)
-    log_bf[0] = 0.0
-    posterior, inclusion = _normalized_posterior(log_bf + prior.log_probs)
-    tail_shrunk = np.cumsum((xi * posterior)[::-1])[::-1]
+    log_bf, xi, centre, scale, log_bf_error = _batched_bf(n, 1, ks + 1, log1m_r2, omega_prior)
+    log_bf[0] = log_bf_error[0] = 0.0
+    sel = _normalized_posterior(log_bf + prior.log_probs, log_bf_error)
+    tail_shrunk = np.cumsum((xi * sel.posterior)[::-1])[::-1]
 
     return ModelPosterior(
         max_order=n_max,
         n=n,
         log_bf=log_bf,
-        posterior=posterior,
-        inclusion=inclusion,
         shrinkage=xi,
         shrunken_inclusion=tail_shrunk[1:].copy(),
         r2=r2,
         quadrature_centre=centre,
         quadrature_scale=scale,
+        log_bf_error=log_bf_error,
+        **sel._asdict(),
     )

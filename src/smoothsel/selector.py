@@ -83,6 +83,17 @@ class FitResult:
     ``diagnostics["bernstein_error_bound"]``.  ``link`` is ``"identity"`` for
     continuous fits and ``"probit"`` for binary ones, in which case
     ``predict`` returns probabilities.
+
+    Both fits report in ``diagnostics``: ``inclusion``, the posterior
+    probability pi_j that degree j = 1..N is in the model;
+    ``inclusion_se``, its delta-method standard error, se(pi_j)^2 =
+    sum_k p_k^2 (1[k >= j] - pi_j)^2 se_k^2, from each order's error se_k
+    in log Bayes factor (``log_bf_error`` in ``fit``, ``mc_std_error`` in
+    ``fit_binary``); ``mpm_margin_flag``, True when some pi_j lies within
+    2 ``inclusion_se`` of 1/2, so that those errors could move the median
+    probability order; ``bernstein_error_bound``; and ``stages``, the
+    seconds spent in each stage of the fit, which sum to
+    ``timing_seconds``.
     """
 
     selected_order: int
@@ -226,6 +237,29 @@ def _bernstein_view(lam: np.ndarray, pair: TransformPair) -> tuple[np.ndarray, f
     return eta, (pair.order + 2) * np.finfo(float).eps * scale
 
 
+def _fit_result(
+    lam: np.ndarray, pair: TransformPair, marks: list, stages: tuple, sel, diagnostics: dict,
+    **fields,
+) -> FitResult:
+    """The :class:`FitResult` of either fit, with the diagnostics both share.
+
+    ``sel`` is a ``ModelPosterior`` or ``gprior._Selection``.  ``marks``
+    open the named ``stages``; the last closes after the Bernstein view.
+    """
+    eta, eta_bound = _bernstein_view(lam, pair)
+    marks.append(time.perf_counter())
+    diagnostics = {
+        "inclusion": sel.inclusion, "inclusion_se": sel.inclusion_se,
+        "mpm_margin_flag": sel.mpm_margin_flag, **diagnostics, "bernstein_error_bound": eta_bound,
+        "stages": dict(zip(stages, np.diff(marks).tolist())),
+    }
+    return FitResult(
+        selected_order=pair.order, max_order=sel.posterior.size - 1, posterior=sel.posterior,
+        lambda_hat=lam, eta_hat=eta, timing_seconds=marks[-1] - marks[0],
+        diagnostics=diagnostics, **fields,
+    )
+
+
 def predictive_loss(
     mp: ModelPosterior,
     k: int,
@@ -317,15 +351,15 @@ def fit(
     FitResult
         Selected order, posterior over orders, shrunken coefficients in
         both bases, diagnostics, and the wall-clock time of the selection.
-        ``diagnostics["stages"]`` splits that time into the seconds spent
-        in ``design`` (with the input checks), ``factorization`` (the QR
-        and the r2 path), ``quadrature`` (the Bayes factors),
-        ``selection`` (with the losses) and ``coefficients``; they sum to
-        ``timing_seconds``.  Above 2048 rows the QR runs its blocks on a
-        thread pool of a worker per core but one (none on one core); no
-        result depends on it.
-        ``diagnostics["quadrature_centre"]`` and ``["quadrature_scale"]``
-        place each order's Bayes-factor rule in its variable v.
+        Its stages are ``design`` (with the input checks),
+        ``factorization`` (the QR and the r2 path), ``quadrature`` (the
+        Bayes factors), ``selection`` (with the losses) and
+        ``coefficients``.  ``diagnostics["log_bf_error"]`` is each order's
+        |log T_h - log T_2h|, the change of its Bayes-factor rule T_h from
+        the same rule on every other node, and ``["quadrature_centre"]``
+        and ``["quadrature_scale"]`` place the rule in its variable v.
+        Above 2048 rows the QR runs its blocks on a thread pool of a
+        worker per core but one (none on one core); no result depends on it.
     """
     if config is None:
         config = FitConfig()
@@ -364,36 +398,21 @@ def fit(
 
     beta, xi = factor.coefficients(selected), float(mp.shrinkage[selected])
     lambda_hat = _shrunken_legendre(beta, xi, factor.col_means, factor.ybar)
-    eta_hat, eta_bound = _bernstein_view(lambda_hat, build_transform(selected))
-    marks.append(time.perf_counter())
-    stages = ("design", "factorization", "quadrature", "selection", "coefficients")
-
     diagnostics = {
-        "inclusion": mp.inclusion,
         "shrunken_inclusion": mp.shrunken_inclusion,
         "log_bf": mp.log_bf,
+        "log_bf_error": mp.log_bf_error,
         "r2": mp.r2,
         "loss": losses,
         "loss_equivalence": loss_equivalence,
         "lambda_full": lambda_full,
         "col_means": factor.col_means,
         "ybar": factor.ybar,
-        "bernstein_error_bound": eta_bound,
         "quadrature_centre": mp.quadrature_centre,
         "quadrature_scale": mp.quadrature_scale,
-        "stages": dict(zip(stages, np.diff(marks).tolist())),
     }
-    return FitResult(
-        selected_order=selected,
-        max_order=n_max,
-        posterior=mp.posterior,
-        lambda_hat=lambda_hat,
-        eta_hat=eta_hat,
-        shrinkage=mp.shrinkage,
-        scale=scale,
-        rule=config.rule,
-        omega_prior=config.omega_prior,
-        timing_seconds=marks[-1] - marks[0],
-        link="identity",
-        diagnostics=diagnostics,
+    return _fit_result(
+        lambda_hat, build_transform(selected), marks,
+        ("design", "factorization", "quadrature", "selection", "coefficients"), mp, diagnostics,
+        shrinkage=mp.shrinkage, scale=scale, rule=config.rule, omega_prior=config.omega_prior,
     )

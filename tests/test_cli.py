@@ -28,6 +28,7 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected_order"] == 0
         assert payload["link"] == "identity"
+        assert (payload["rule"], payload["omega_prior"]["kind"]) == ("mpm", "intrinsic")
 
     def test_output_files_and_curve(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -73,6 +74,22 @@ class TestFitCommand:
         assert payload["link"] == "probit"
         assert payload["omega_prior"] is None
         assert sum(payload["posterior"]) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("flag, value", [("--rule", "loss"), ("--omega-prior", "hyper-g")])
+    def test_gaussian_options_with_binary_are_input_errors(self, tmp_path, capsys, flag, value):
+        # Either one used to run the probit fit by its own MPM rule, silently.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, 80)
+        y = (rng.uniform(size=80) < 0.3 + 0.5 * x).astype(float)
+        data = tmp_path / "bin.csv"
+        write_xy(data, x, y)
+        assert main(["fit", str(data), "--binary", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} does not apply to --binary fits" in captured.err
+        assert captured.out == ""
+        assert main(["fit", str(data), flag, value]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert value in (payload["rule"], payload["omega_prior"]["kind"])
 
     def test_mc_draws_below_minimum_is_input_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 from scipy.linalg.lapack import dgeqrt as f2py_dgeqrt
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from oracles import (
     hyper_g_log_marginal_numeric,
@@ -23,17 +23,21 @@ from oracles import (
     oracle_log_bf,
     oracle_shrinkage,
 )
-from smoothsel import gprior, selector
+from smoothsel import binary, gprior, selector
 from smoothsel.basis import PredictorScale, build_design
+from smoothsel.binary import BinaryFitConfig, fit_binary
 from smoothsel.gprior import (
     _CHUNK,
     _PANEL,
+    _Z_STEP,
     ModelFitStats,
     OmegaPrior,
     _dgeqrt,
     _factorize,
     _householder_r,
+    _log_kernel,
     _logsumexp,
+    _normalized_posterior,
     _share,
     fit_stats,
     log_bayes_factor,
@@ -541,6 +545,94 @@ class TestShare:
         done = []
         _share(None, 4, done.append)
         assert done == [0, 1, 2, 3]
+
+
+class TestQuadratureErrorEstimate:
+    @pytest.mark.parametrize("name", KINDS)
+    def test_bounds_the_half_step_rule(self, name):
+        # The change from the rule on every other node bounds the rule's
+        # distance to the 277-node rule at half the step around the same
+        # centre and scale, at the smallest samples, where the fixed rule
+        # errs most, and every order they allow.
+        prior = OmegaPrior.from_name(name)
+        z = 0.5 * _Z_STEP * np.arange(-138, 139)[:, None]
+        for n in range(6, 10):
+            qk = np.arange(2.0, n - 1)  # orders 1..n-3 with the level
+            for one_minus_r2 in (1e-9, 1e-3, 0.5):
+                log1m_r2 = np.full(qk.size, np.log(one_minus_r2))
+                log_bf, _, centre, scale, error = gprior._batched_bf(n, 1, qk, log1m_r2, prior)
+                v = centre + scale * np.sinh(z)
+                log_g = np.log(n / (qk + 1.0)) - prior.log_omega(v)
+                log_terms = _log_kernel(log_g, n, 1, qk, log1m_r2) + prior.log_weight(v)
+                half = logsumexp(log_terms + np.log(0.5 * _Z_STEP * scale * np.cosh(z)), axis=0)
+                assert np.all(np.abs(log_bf - half) <= error + 1e-13), (n, one_minus_r2)
+
+
+def criterion_8_fit(rep):
+    """``fit_binary`` on criterion-8 replicate ``rep``: n = 300, y ~ Bernoulli(Phi(2x - 1))."""
+    rng = np.random.default_rng([500, rep])
+    x = rng.uniform(0.0, 1.0, 300)
+    y = (rng.uniform(size=300) < ndtr(2.0 * x - 1.0)).astype(float)
+    return fit_binary(x, y, BinaryFitConfig(seed=rep, scale=UNIT))
+
+
+def pwlinear_fit(rep):
+    """``fit`` on a pwlinear sample at n = 500 whose posterior spreads over orders 3-7."""
+    return fit(*generate(Scenario("pwlinear", 500, 2.0, 4, 900), rep))
+
+
+# Each fit path, with the diagnostic that holds its orders' errors in log BF.
+ERROR_BUDGET_PATHS = {
+    "identity": (pwlinear_fit, "log_bf_error"),
+    "probit": (criterion_8_fit, "mc_std_error"),
+}
+
+
+class TestSelectionErrorBudget:
+    """``inclusion_se`` and ``mpm_margin_flag``, shared by both fit paths."""
+
+    @pytest.mark.parametrize("link", ERROR_BUDGET_PATHS)
+    def test_inclusion_se_is_the_delta_method(self, link):
+        # sum_k (d inclusion_j / d log_post_k)^2 se_k^2, the derivatives by
+        # central differences of the posterior normalization.
+        run, error_key = ERROR_BUDGET_PATHS[link]
+        h = 1e-5
+        for rep in (0, 1):
+            result = run(rep)
+            diag = result.diagnostics
+            log_post = diag["log_bf"] + model_prior(result.max_order).log_probs
+            jac = np.empty((result.max_order, result.max_order + 1))
+            for k in range(result.max_order + 1):
+                step = np.zeros_like(log_post)
+                step[k] = h
+                jac[:, k] = (_normalized_posterior(log_post + step, 0.0).inclusion
+                             - _normalized_posterior(log_post - step, 0.0).inclusion) / (2.0 * h)
+            want = np.sqrt(((jac * diag[error_key]) ** 2).sum(axis=1))
+            # 1e-10 for the probit's errors; relative for the quadrature's, near 1e-13.
+            atol = 1e-5 * min(want.max(), 1e-5)
+            np.testing.assert_allclose(diag["inclusion_se"], want, rtol=1e-6, atol=atol)
+            assert diag["inclusion_se"].max() > (1e-5 if link == "probit" else 0.0)
+
+    @pytest.mark.parametrize("link", ERROR_BUDGET_PATHS)
+    def test_mpm_margin_flag(self, link, monkeypatch):
+        # Replicate 0's inclusion probabilities lie far from 0.5 for their
+        # standard errors; errors of 5 nats on the gridded orders (probit),
+        # or on every order (identity), bring one within two of them.
+        run = ERROR_BUDGET_PATHS[link][0]
+        assert run(0).diagnostics["mpm_margin_flag"] is False
+        if link == "probit":
+            grid = binary._grid_log_num
+            monkeypatch.setattr(binary, "_grid_log_num", lambda a_n, mode: (grid(a_n, mode)[0], 5.0))
+        else:
+            rule = gprior._batched_bf
+            monkeypatch.setattr(
+                gprior, "_batched_bf", lambda *args: rule(*args)[:4] + (np.full(len(args[2]), 5.0),)
+            )
+        result = run(0)
+        diag = result.diagnostics
+        assert np.any(np.abs(diag["inclusion"] - 0.5) <= 2.0 * diag["inclusion_se"])
+        assert diag["mpm_margin_flag"] is True
+        assert result.to_dict()["diagnostics"]["mpm_margin_flag"] is True
 
 
 class TestLogSumExp:

@@ -501,6 +501,8 @@ class TestFit:
             "omega_prior",
         ):
             assert key in payload, key
+        for key in ("log_bf_error", "inclusion_se", "mpm_margin_flag"):
+            assert key in payload["diagnostics"], key
         assert payload["selected_order"] == result.selected_order
         assert payload["omega_prior"]["kind"] == "intrinsic"
         assert len(payload["posterior"]) == result.max_order + 1
